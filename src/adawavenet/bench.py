@@ -41,8 +41,10 @@ class RunResult:
     seed: int
 
     def __post_init__(self):
-        assert self.mse >= 0 and self.mae >= 0
-        assert self.mae <= np.sqrt(self.mse) + 1e-12
+        if not (self.mse >= 0 and self.mae >= 0):
+            raise ValueError(f"RunResult: negative or NaN error (mse={self.mse}, mae={self.mae})")
+        if not self.mae <= np.sqrt(self.mse) + 1e-12:
+            raise ValueError(f"RunResult: MAE {self.mae} exceeds sqrt(MSE) {np.sqrt(self.mse)}")
 
 
 def config_hash(model_cfg: ModelConfig, train_cfg: TrainConfig) -> str:

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import csv
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -65,9 +66,12 @@ def load_csv(path: str, split_fractions=(0.7, 0.1, 0.2)) -> Dataset:
             raise DataError(f"{path}: line {i}: expected {width} cells, got {len(row)}")
         cells = row[1:] if drop_first else row
         try:
-            values.append([float(c) for c in cells])
+            row_values = [float(c) for c in cells]
         except ValueError as exc:
             raise DataError(f"{path}: line {i}: non-numeric cell ({exc})") from exc
+        if not all(math.isfinite(v) for v in row_values):
+            raise DataError(f"{path}: line {i}: non-finite cell (nan or inf)")
+        values.append(row_values)
     data = np.asarray(values).T              # [C, T]
     return build_dataset(names, data, split_fractions)
 

@@ -20,6 +20,7 @@ def metrics(pred: np.ndarray, target: np.ndarray, mask: np.ndarray | None = None
     else:
         mse = float((err ** 2).mean())
         mae = float(np.abs(err).mean())
-    # Jensen: E|e| <= sqrt(E e^2)
-    assert mae <= np.sqrt(mse) + 1e-12
+    # Jensen: E|e| <= sqrt(E e^2); also fails for NaN errors
+    if not mae <= np.sqrt(mse) + 1e-12:
+        raise ValueError(f"metrics: MAE {mae} exceeds sqrt(MSE) {np.sqrt(mse)}")
     return mse, mae

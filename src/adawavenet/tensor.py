@@ -6,7 +6,10 @@ finite differences in the test suite.
 """
 from __future__ import annotations
 
+import functools
+
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 # When True, every op asserts its output is finite (slow; used in tests and
 # when hunting NaNs during training).
@@ -370,8 +373,9 @@ def _pads(K):
 
 
 def _zero_pad_last(x, pl, pr):
-    width = [(0, 0)] * (x.ndim - 1) + [(pl, pr)]
-    return np.pad(x, width)
+    xp = np.zeros(x.shape[:-1] + (x.shape[-1] + pl + pr,))
+    xp[..., pl:pl + x.shape[-1]] = x
+    return xp
 
 
 def conv1d(x, kernels, bias=None):
@@ -470,8 +474,18 @@ def conv_transpose1d(x, kernels, bias=None):
     return _make(out, parents, backward)
 
 
+def _depthwise_correlate(x, kernels, pl, pr):
+    """Zero-pad x[..., C, L] by (pl, pr) and correlate each channel with its
+    row of kernels[C, K]; returns the output and the [N, C, L, K] window view
+    of the padded input, N the product of the leading axes."""
+    xp = _zero_pad_last(x.reshape((-1,) + x.shape[-2:]), pl, pr)
+    win = sliding_window_view(xp, kernels.shape[1], axis=-1)
+    return np.einsum("nclk,ck->ncl", win, kernels).reshape(x.shape), win
+
+
 def depthwise_conv1d(x, kernels, bias=None):
-    """Per-channel cross-correlation: x[..., C, L], kernels[C, K] -> [..., C, L].
+    """Per-channel cross-correlation as one sliding-window einsum:
+    x[..., C, L], kernels[C, K] -> [..., C, L].
 
     Even K is allowed; the zero padding is then asymmetric ((K-1)//2 left,
     K//2 right), which keeps the map linear and exactly invertible inside the
@@ -480,22 +494,14 @@ def depthwise_conv1d(x, kernels, bias=None):
     C, K = kernels.shape
     if x.shape[-2] != C:
         raise TensorError(f"depthwise_conv1d: channels {x.shape[-2]} != {C}")
-    L = x.shape[-1]
     pl, pr = _pads(K)
-    xp = _zero_pad_last(x.data, pl, pr)
-    out = np.zeros(x.shape)
-    for k in range(K):
-        out += kernels.data[:, k, None] * xp[..., k:k + L]
+    out, win = _depthwise_correlate(x.data, kernels.data, pl, pr)
     if bias is not None:
         out += bias.data[:, None]
 
     def backward(g):
-        gxp = np.zeros(x.shape[:-1] + (L + K - 1,))
-        gw = np.zeros(kernels.shape)
-        for k in range(K):
-            gxp[..., k:k + L] += kernels.data[:, k, None] * g
-            gw[:, k] = (g * xp[..., k:k + L]).sum(axis=tuple(range(g.ndim - 2)) + (g.ndim - 1,))
-        grads = [gxp[..., pl:pl + L], gw]
+        gx, _ = _depthwise_correlate(g, kernels.data[:, ::-1], pr, pl)
+        grads = [gx, np.einsum("ncl,nclk->ck", g.reshape(win.shape[:-1]), win)]
         if bias is not None:
             grads.append(g.sum(axis=tuple(range(g.ndim - 2)) + (g.ndim - 1,)))
         return tuple(grads)
@@ -505,27 +511,19 @@ def depthwise_conv1d(x, kernels, bias=None):
 
 
 def depthwise_conv_transpose1d(x, kernels, bias=None):
-    """Adjoint of depthwise_conv1d under the same padding convention."""
+    """Adjoint of depthwise_conv1d under the same padding convention: the same
+    sliding-window correlation with the kernel reversed and the pads swapped."""
     C, K = kernels.shape
     if x.shape[-2] != C:
         raise TensorError(f"depthwise_conv_transpose1d: channels {x.shape[-2]} != {C}")
-    L = x.shape[-1]
     pl, pr = _pads(K)
-    outp = np.zeros(x.shape[:-1] + (L + K - 1,))
-    for k in range(K):
-        outp[..., k:k + L] += kernels.data[:, k, None] * x.data
-    out = outp[..., pl:pl + L]
+    out, _ = _depthwise_correlate(x.data, kernels.data[:, ::-1], pr, pl)
     if bias is not None:
-        out = out + bias.data[:, None]
+        out += bias.data[:, None]
 
     def backward(g):
-        gp = _zero_pad_last(g, pl, pr)
-        gx = np.zeros(x.shape)
-        gw = np.zeros(kernels.shape)
-        for k in range(K):
-            gx += kernels.data[:, k, None] * gp[..., k:k + L]
-            gw[:, k] = (x.data * gp[..., k:k + L]).sum(axis=tuple(range(x.ndim - 2)) + (x.ndim - 1,))
-        grads = [gx, gw]
+        gx, win = _depthwise_correlate(g, kernels.data, pl, pr)
+        grads = [gx, np.einsum("ncl,nclk->ck", x.data.reshape(win.shape[:-1]), win)]
         if bias is not None:
             grads.append(g.sum(axis=tuple(range(g.ndim - 2)) + (g.ndim - 1,)))
         return tuple(grads)
@@ -534,57 +532,70 @@ def depthwise_conv_transpose1d(x, kernels, bias=None):
     return _make(out, parents, backward)
 
 
+@functools.lru_cache(maxsize=8)
+def _moving_average_matrix(L, window):
+    """Read-only [L, L] banded A with (x @ A)[..., t] the edge-replicated
+    centered mean of x[..., t - half : t + half + 1]."""
+    half = (window - 1) // 2
+    counts = np.zeros((L, L))
+    cols = np.arange(L)
+    for j in range(-half, half + 1):
+        counts[np.clip(cols + j, 0, L - 1), cols] += 1.0
+    A = counts / window
+    A.flags.writeable = False
+    return A
+
+
 def moving_average(x, window):
-    """Centered moving average over the last axis with edge replication."""
+    """Centered moving average over the last axis with edge replication, as
+    one product with a cached banded [L, L] matrix."""
     if window % 2 == 0 or window < 1:
         raise TensorError("moving_average window must be odd and >= 1")
     L = x.shape[-1]
-    half = (window - 1) // 2
-    idx = np.clip(np.arange(-half, L + half), 0, L - 1)
-    xp = x.data[..., idx]
-    csum = np.cumsum(xp, axis=-1)
-    out = np.empty(x.shape)
-    out[..., 0] = csum[..., window - 1]
-    out[..., 1:] = csum[..., window:] - csum[..., :L - 1]
-    out /= window
+    A = _moving_average_matrix(L, window)
+    out = (x.data.reshape(-1, L) @ A).reshape(x.shape)
 
     def backward(g):
-        gx = np.zeros(x.shape)
-        for j in range(-half, half + 1):
-            tgt = np.clip(np.arange(L) + j, 0, L - 1)
-            np.add.at(gx, (..., tgt), g / window)
-        return (gx,)
+        return ((g.reshape(-1, L) @ A.T).reshape(x.shape),)
 
     return _make(out, (x,), backward)
 
 
 def grouped_linear_op(x, weights, biases, assignments):
-    """Per-cluster affine heads over the last axis.
+    """Per-cluster affine heads over the last axis, one GEMM per cluster.
 
     x: [..., C, L]; weights: [k, L, L_p]; biases: [k, L_p];
     assignments: int array of length C mapping channel -> cluster.
     """
     assignments = np.asarray(assignments)
-    C = x.shape[-2]
+    C, L = x.shape[-2:]
+    k, _, Lp = weights.shape
     if assignments.shape != (C,):
         raise TensorError("grouped_linear: one assignment per channel required")
-    Wc = weights.data[assignments]            # [C, L, L_p]
-    bc = biases.data[assignments]             # [C, L_p]
-    out = np.einsum("...cl,clp->...cp", x.data, Wc) + bc
+    if np.any((assignments < 0) | (assignments >= k)):
+        raise TensorError(f"grouped_linear: assignments must lie in [0, {k})")
+    members = [np.flatnonzero(assignments == j) for j in range(k)]
+    xf = x.data.reshape(-1, C, L)
+    out = np.empty(xf.shape[:-1] + (Lp,))
+    for j, ch in enumerate(members):
+        if ch.size:
+            xj = xf[:, ch].reshape(-1, L)
+            out[:, ch] = (xj @ weights.data[j] + biases.data[j]).reshape(-1, ch.size, Lp)
 
     def backward(g):
-        gx = np.einsum("...cp,clp->...cl", g, Wc)
-        xf = x.data.reshape(-1, C, x.shape[-1])
-        gf = g.reshape(-1, C, g.shape[-1])
-        gW_per_c = np.einsum("bcl,bcp->clp", xf, gf)
-        gb_per_c = gf.sum(axis=0)
+        gf = g.reshape(-1, C, Lp)
+        gx = np.empty(xf.shape)
         gW = np.zeros(weights.shape)
         gb = np.zeros(biases.shape)
-        np.add.at(gW, assignments, gW_per_c)
-        np.add.at(gb, assignments, gb_per_c)
-        return (gx, gW, gb)
+        for j, ch in enumerate(members):
+            if ch.size:
+                gj = gf[:, ch].reshape(-1, Lp)
+                gx[:, ch] = (gj @ weights.data[j].T).reshape(-1, ch.size, L)
+                gW[j] = xf[:, ch].reshape(-1, L).T @ gj
+                gb[j] = gj.sum(axis=0)
+        return (gx.reshape(x.shape), gW, gb)
 
-    return _make(out, (x, weights, biases), backward)
+    return _make(out.reshape(x.shape[:-1] + (Lp,)), (x, weights, biases), backward)
 
 
 def layer_norm(x, scale, shift, eps=1e-8):

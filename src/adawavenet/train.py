@@ -106,6 +106,7 @@ def evaluate(model: AdaWaveNet, dataset: Dataset, split: str,
         w = lm.sum() if lm is not None else tgt.size
         total += loss.item() * w
         weight += w
+        del pred, loss      # free this batch's graph before the next forward
     return total / weight
 
 
@@ -157,6 +158,7 @@ def train(model: AdaWaveNet, dataset: Dataset, train_cfg: TrainConfig,
             adam_step(params, state, train_cfg.learning_rate)
             epoch_loss += loss.item()
             n_batches += 1
+            del pred, loss  # free this step's graph before the next forward
         val_loss = evaluate(model, dataset, "val", mask_spec=mask_spec)
         seconds = time.time() - t_start
         history.append((epoch, epoch_loss / max(n_batches, 1), val_loss,

@@ -45,6 +45,10 @@ class TestMetrics:
         with pytest.raises(ValueError):
             metrics(np.ones(3), np.ones(4))
 
+    def test_nan_prediction_rejected(self):
+        with pytest.raises(ValueError):
+            metrics(np.array([1.0, np.nan]), np.zeros(2))
+
 
 class TestBaselines:
     def test_persistence_by_definition(self):
@@ -75,7 +79,7 @@ class TestBaselines:
 
 class TestRunResult:
     def test_jensen_violation_rejected(self):
-        with pytest.raises(AssertionError):
+        with pytest.raises(ValueError):
             RunResult("forecast", "d", "s", mse=1.0, mae=1.5,
                       runtime_s=0.0, config_hash="x", seed=0)
 

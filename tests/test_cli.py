@@ -59,6 +59,14 @@ class TestTrain:
                      small_config, "--out", str(tmp_path / "o"),
                      "--quiet"]) == EXIT_DATA
 
+    def test_non_finite_csv_cell_is_data_error(self, tmp_path, small_config):
+        rows = [f"{np.sin(0.1 * t):.6f}" for t in range(400)]
+        rows[200] = "nan"
+        path = tmp_path / "d.csv"
+        path.write_text("x\n" + "\n".join(rows) + "\n")
+        assert main(["train", "--data", str(path), "--config", small_config,
+                     "--out", str(tmp_path / "o"), "--quiet"]) == EXIT_DATA
+
     def test_missing_subcommand_is_usage_error(self):
         assert main([]) == EXIT_USAGE
 

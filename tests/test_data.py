@@ -42,6 +42,13 @@ class TestLoadCsv:
         with pytest.raises(DataError):
             load_csv(str(path))
 
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "NaN"])
+    def test_non_finite_cell_rejected(self, tmp_path, cell):
+        path = tmp_path / "d.csv"
+        path.write_text(f"a,b\n1,2\n3,4\n5,{cell}\n")
+        with pytest.raises(DataError, match="line 4"):
+            load_csv(str(path))
+
     def test_missing_file_rejected(self):
         with pytest.raises(DataError):
             load_csv("/nonexistent/never.csv")

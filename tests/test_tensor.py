@@ -331,3 +331,201 @@ class TestDeterminism:
         assert l1 == l2
         assert np.array_equal(gx1, gx2)
         assert np.array_equal(gw1, gw2)
+
+
+# -- reference implementations -----------------------------------------------
+# The per-tap, scatter-add and weight-gather formulations that the dense
+# kernels in adawavenet.tensor replaced, kept verbatim as oracles.
+
+def _reference_zero_pad_last(x, pl, pr):
+    width = [(0, 0)] * (x.ndim - 1) + [(pl, pr)]
+    return np.pad(x, width)
+
+
+def _reference_depthwise_conv1d(x, kernels, bias=None):
+    C, K = kernels.shape
+    if x.shape[-2] != C:
+        raise TensorError(f"depthwise_conv1d: channels {x.shape[-2]} != {C}")
+    L = x.shape[-1]
+    pl, pr = T._pads(K)
+    xp = _reference_zero_pad_last(x.data, pl, pr)
+    out = np.zeros(x.shape)
+    for k in range(K):
+        out += kernels.data[:, k, None] * xp[..., k:k + L]
+    if bias is not None:
+        out += bias.data[:, None]
+
+    def backward(g):
+        gxp = np.zeros(x.shape[:-1] + (L + K - 1,))
+        gw = np.zeros(kernels.shape)
+        for k in range(K):
+            gxp[..., k:k + L] += kernels.data[:, k, None] * g
+            gw[:, k] = (g * xp[..., k:k + L]).sum(axis=tuple(range(g.ndim - 2)) + (g.ndim - 1,))
+        grads = [gxp[..., pl:pl + L], gw]
+        if bias is not None:
+            grads.append(g.sum(axis=tuple(range(g.ndim - 2)) + (g.ndim - 1,)))
+        return tuple(grads)
+
+    parents = (x, kernels) if bias is None else (x, kernels, bias)
+    return T._make(out, parents, backward)
+
+
+def _reference_depthwise_conv_transpose1d(x, kernels, bias=None):
+    C, K = kernels.shape
+    if x.shape[-2] != C:
+        raise TensorError(f"depthwise_conv_transpose1d: channels {x.shape[-2]} != {C}")
+    L = x.shape[-1]
+    pl, pr = T._pads(K)
+    outp = np.zeros(x.shape[:-1] + (L + K - 1,))
+    for k in range(K):
+        outp[..., k:k + L] += kernels.data[:, k, None] * x.data
+    out = outp[..., pl:pl + L]
+    if bias is not None:
+        out = out + bias.data[:, None]
+
+    def backward(g):
+        gp = _reference_zero_pad_last(g, pl, pr)
+        gx = np.zeros(x.shape)
+        gw = np.zeros(kernels.shape)
+        for k in range(K):
+            gx += kernels.data[:, k, None] * gp[..., k:k + L]
+            gw[:, k] = (x.data * gp[..., k:k + L]).sum(axis=tuple(range(x.ndim - 2)) + (x.ndim - 1,))
+        grads = [gx, gw]
+        if bias is not None:
+            grads.append(g.sum(axis=tuple(range(g.ndim - 2)) + (g.ndim - 1,)))
+        return tuple(grads)
+
+    parents = (x, kernels) if bias is None else (x, kernels, bias)
+    return T._make(out, parents, backward)
+
+
+def _reference_moving_average(x, window):
+    if window % 2 == 0 or window < 1:
+        raise TensorError("moving_average window must be odd and >= 1")
+    L = x.shape[-1]
+    half = (window - 1) // 2
+    idx = np.clip(np.arange(-half, L + half), 0, L - 1)
+    xp = x.data[..., idx]
+    csum = np.cumsum(xp, axis=-1)
+    out = np.empty(x.shape)
+    out[..., 0] = csum[..., window - 1]
+    out[..., 1:] = csum[..., window:] - csum[..., :L - 1]
+    out /= window
+
+    def backward(g):
+        gx = np.zeros(x.shape)
+        for j in range(-half, half + 1):
+            tgt = np.clip(np.arange(L) + j, 0, L - 1)
+            np.add.at(gx, (..., tgt), g / window)
+        return (gx,)
+
+    return T._make(out, (x,), backward)
+
+
+def _reference_grouped_linear_op(x, weights, biases, assignments):
+    assignments = np.asarray(assignments)
+    C = x.shape[-2]
+    if assignments.shape != (C,):
+        raise TensorError("grouped_linear: one assignment per channel required")
+    Wc = weights.data[assignments]            # [C, L, L_p]
+    bc = biases.data[assignments]             # [C, L_p]
+    out = np.einsum("...cl,clp->...cp", x.data, Wc) + bc
+
+    def backward(g):
+        gx = np.einsum("...cp,clp->...cl", g, Wc)
+        xf = x.data.reshape(-1, C, x.shape[-1])
+        gf = g.reshape(-1, C, g.shape[-1])
+        gW_per_c = np.einsum("bcl,bcp->clp", xf, gf)
+        gb_per_c = gf.sum(axis=0)
+        gW = np.zeros(weights.shape)
+        gb = np.zeros(biases.shape)
+        np.add.at(gW, assignments, gW_per_c)
+        np.add.at(gb, assignments, gb_per_c)
+        return (gx, gW, gb)
+
+    return T._make(out, (x, weights, biases), backward)
+
+
+def _assert_close(got, want):
+    """Agreement to 1e-12 relative to the magnitude of the reference; an
+    all-zero reference must be matched exactly."""
+    assert got.shape == want.shape
+    np.testing.assert_allclose(got, want, rtol=1e-12,
+                               atol=1e-12 * float(np.abs(want).max(initial=0.0)))
+
+
+def _compare_with_reference(op, reference, arrays, rng, *static):
+    """Forward output and every backward output of op against reference,
+    for one random upstream gradient; returns op's backward outputs."""
+    got = op(*[Tensor(a, requires_grad=True) for a in arrays], *static)
+    want = reference(*[Tensor(a, requires_grad=True) for a in arrays], *static)
+    _assert_close(got.data, want.data)
+    g = rng.normal(size=want.shape)
+    got_grads, want_grads = got._backward(g), want._backward(g)
+    assert len(got_grads) == len(want_grads) == len(arrays)
+    for gg, wg in zip(got_grads, want_grads):
+        _assert_close(gg, wg)
+    return got_grads
+
+
+# (x shape, K): default cell at the first lifting level, B=1, unbatched,
+# even K, odd L, L shorter than K, and Electricity's channel count.
+DEPTHWISE_CASES = [((16, 7, 48), 7), ((1, 7, 48), 7), ((7, 48), 7),
+                   ((16, 7, 48), 4), ((16, 7, 47), 7), ((2, 3, 4), 7),
+                   ((4, 321, 48), 7)]
+
+
+class TestDenseKernelsMatchReference:
+    @pytest.mark.parametrize("with_bias", [True, False])
+    @pytest.mark.parametrize("shape,K", DEPTHWISE_CASES)
+    def test_depthwise_conv1d(self, rng, shape, K, with_bias):
+        C = shape[-2]
+        arrays = [rng.normal(size=shape), rng.normal(size=(C, K))]
+        if with_bias:
+            arrays.append(rng.normal(size=C))
+        _compare_with_reference(T.depthwise_conv1d, _reference_depthwise_conv1d,
+                                arrays, rng)
+
+    @pytest.mark.parametrize("with_bias", [True, False])
+    @pytest.mark.parametrize("shape,K", DEPTHWISE_CASES)
+    def test_depthwise_conv_transpose1d(self, rng, shape, K, with_bias):
+        C = shape[-2]
+        arrays = [rng.normal(size=shape), rng.normal(size=(C, K))]
+        if with_bias:
+            arrays.append(rng.normal(size=C))
+        _compare_with_reference(T.depthwise_conv_transpose1d,
+                                _reference_depthwise_conv_transpose1d, arrays, rng)
+
+    @pytest.mark.parametrize("shape,window", [
+        ((16, 7, 96), 25), ((1, 7, 96), 25), ((7, 96), 25), ((16, 7, 95), 25),
+        ((2, 3, 4), 25), ((16, 7, 96), 1), ((4, 321, 96), 25)])
+    def test_moving_average(self, rng, shape, window):
+        _compare_with_reference(T.moving_average, _reference_moving_average,
+                                [rng.normal(size=shape)], rng, window)
+
+    def test_moving_average_matrix_is_read_only(self):
+        with pytest.raises(ValueError):
+            T._moving_average_matrix(8, 3)[0, 0] = 1.0
+
+    @pytest.mark.parametrize("shape,Lp,assign", [
+        ((16, 7, 96), 96, [0] * 7), ((1, 7, 96), 96, [0] * 7),
+        ((7, 96), 96, [0] * 7), ((16, 7, 95), 48, [0] * 7),
+        ((16, 7, 96), 96, [0, 3, 1, 0, 3, 3, 1]),
+        ((4, 321, 96), 96, np.random.default_rng(5).integers(0, 4, 321))])
+    def test_grouped_linear_op(self, rng, shape, Lp, assign):
+        k = int(np.max(assign)) + 1
+        arrays = [rng.normal(size=shape), rng.normal(size=(k, shape[-1], Lp)),
+                  rng.normal(size=(k, Lp))]
+        _, gW, gb = _compare_with_reference(
+            T.grouped_linear_op, _reference_grouped_linear_op, arrays, rng,
+            np.asarray(assign))
+        for j in set(range(k)) - set(np.asarray(assign).tolist()):
+            assert np.all(gW[j] == 0) and np.all(gb[j] == 0)
+
+    def test_grouped_linear_rejects_out_of_range_cluster(self, rng):
+        x = Tensor(rng.normal(size=(2, 3, 4)))
+        w = Tensor(np.zeros((2, 4, 4)))
+        b = Tensor(np.zeros((2, 4)))
+        for assign in ([0, 2, 1], [0, -1, 1]):
+            with pytest.raises(TensorError):
+                T.grouped_linear_op(x, w, b, np.array(assign))
