@@ -36,9 +36,7 @@ class LinearBaseline:
         return self.forward(Tensor(x)).data
 
     def fit(self, dataset: Dataset, train_cfg: TrainConfig):
-        pairs = list(windows(dataset, "train", self.input_len, self.pred_len, "forecast"))
-        xs = np.stack([p[0] for p in pairs])
-        ys = np.stack([p[1] for p in pairs])
+        xs, ys = windows(dataset, "train", self.input_len, self.pred_len, "forecast")
         params = self.parameters()
         state = AdamState(params)
         rng = np.random.default_rng(train_cfg.seed)

@@ -9,20 +9,18 @@ import hashlib
 import json
 import os
 import time
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
 from .baselines import LinearBaseline, baseline_persistence
 from .config import ModelConfig, TrainConfig, to_text
-from .data import Dataset, DataError, MaskSpec, build_dataset, downsample, load_csv, \
-    make_mask, windows
+from .data import Dataset, DataError, MaskSpec, build_dataset, load_csv, windows
 from .metrics import metrics
-from .model import AdaWaveNet, zoh_upsample
+from .model import AdaWaveNet
 from .svgplot import save_chart
 from .synth import SynthSpec, denoised_target, generate
-from .tensor import Tensor
-from .train import build_model, train
+from .train import _scored_batches, build_model, train
 
 # synthetic signals: 1024 points, first 512 for fitting (training plus the
 # validation tail used for early stopping), last 512 held out
@@ -68,49 +66,29 @@ def resolve_dataset(name: str, seed: int = 0) -> Dataset:
 
 # -- per-task evaluation -----------------------------------------------------
 
-def evaluate_forecast(model: AdaWaveNet, dataset: Dataset, split: str = "test",
-                      batch_size: int = 64):
+def _evaluate(model: AdaWaveNet, dataset: Dataset, split: str, task: str,
+              mask_spec: MaskSpec | None = None, sr_ratio: int = 1):
+    """(MSE, MAE) over every window of a split; masked for imputation."""
     cfg = model.config
-    pairs = list(windows(dataset, split, cfg.input_len, cfg.pred_len, "forecast"))
-    preds, tgts = [], []
-    for start in range(0, len(pairs), batch_size):
-        chunk = pairs[start:start + batch_size]
-        x = np.stack([p[0] for p in chunk])
-        preds.append(model.forward(Tensor(x)).data)
-        tgts.append(np.stack([p[1] for p in chunk]))
-    return metrics(np.concatenate(preds), np.concatenate(tgts))
+    xs, ys = windows(dataset, split, cfg.input_len, cfg.pred_len, task)
+    preds, tgts, masks = zip(*_scored_batches(model, task, xs, ys, mask_spec,
+                                              sr_ratio))
+    mask = None if masks[0] is None else np.concatenate(masks)
+    return metrics(np.concatenate(preds), np.concatenate(tgts), mask=mask)
+
+
+def evaluate_forecast(model: AdaWaveNet, dataset: Dataset, split: str = "test"):
+    return _evaluate(model, dataset, split, "forecast")
 
 
 def evaluate_impute(model: AdaWaveNet, dataset: Dataset, mask_spec: MaskSpec,
-                    split: str = "test", batch_size: int = 64):
-    cfg = model.config
-    pairs = list(windows(dataset, split, cfg.input_len, cfg.pred_len, "impute"))
-    preds, tgts, masks = [], [], []
-    for start in range(0, len(pairs), batch_size):
-        chunk = pairs[start:start + batch_size]
-        x = np.stack([p[0] for p in chunk])
-        m = np.stack([make_mask(mask_spec, x.shape[1:],
-                                rng=np.random.default_rng([mask_spec.seed, 0, start + i]))
-                      for i in range(len(chunk))])
-        preds.append(model.forward(Tensor(x * m)).data)
-        tgts.append(x)
-        masks.append(1.0 - m)
-    return metrics(np.concatenate(preds), np.concatenate(tgts),
-                   mask=np.concatenate(masks))
+                    split: str = "test"):
+    return _evaluate(model, dataset, split, "impute", mask_spec=mask_spec)
 
 
 def evaluate_superres(model: AdaWaveNet, dataset: Dataset, ratio: int,
-                      split: str = "test", batch_size: int = 64):
-    cfg = model.config
-    pairs = list(windows(dataset, split, cfg.input_len, cfg.pred_len, "superres"))
-    preds, tgts = [], []
-    for start in range(0, len(pairs), batch_size):
-        chunk = pairs[start:start + batch_size]
-        x = np.stack([p[0] for p in chunk])
-        low = zoh_upsample(downsample(x, ratio), ratio)
-        preds.append(model.forward(Tensor(low)).data)
-        tgts.append(x)
-    return metrics(np.concatenate(preds), np.concatenate(tgts))
+                      split: str = "test"):
+    return _evaluate(model, dataset, split, "superres", sr_ratio=ratio)
 
 
 # -- synthetic case study ----------------------------------------------------
@@ -138,21 +116,13 @@ def case_study(family: str = "simple", seed: int = 0,
     model = build_model(dataset, model_cfg)
     train(model, dataset, train_cfg, verbose=verbose)
 
-    # forecast windows fully inside the held-out half, scored vs the
-    # denoised signal on the train-split normalized scale
+    # forecast windows fully inside the held-out half: noisy inputs, targets
+    # from the denoised signal on the same train-split normalized scale
     L, Lp = model_cfg.input_len, model_cfg.pred_len
-    test_start = dataset.splits["test"][0]
-    norm = lambda v: (v - dataset.mean[:, None]) / dataset.std[:, None]
-    noisy_n, clean_n = norm(noisy), norm(clean)
-    inputs, targets = [], []
-    for t in range(test_start, noisy.shape[1] - L - Lp + 1):
-        inputs.append(noisy_n[:, t:t + L])
-        targets.append(clean_n[:, t + L:t + L + Lp])
-    xs, ys = np.stack(inputs), np.stack(targets)
-    preds = []
-    for start in range(0, len(xs), 64):
-        preds.append(model.forward(Tensor(xs[start:start + 64])).data)
-    preds = np.concatenate(preds)
+    xs, _ = windows(dataset, "test", L, Lp, "forecast")
+    _, ys = windows(replace(dataset, values=clean), "test", L, Lp, "forecast")
+    preds = np.concatenate([p for p, _, _ in _scored_batches(model, "forecast",
+                                                             xs, ys)])
     result = {"model": metrics(preds, ys), "dataset": dataset,
               "trained": model, "inputs": xs, "targets": ys, "preds": preds}
     if with_baselines:
@@ -183,7 +153,6 @@ def run_cell(cell: dict, seed: int, verbose: bool = False) -> RunResult:
     if task == "impute":
         mask_spec = MaskSpec(mode=cell.get("mask_mode", "random"),
                              ratio=cell.get("mask_ratio", 0.25), seed=seed)
-        train_cfg.loss_mode = "masked"
         model_cfg.revin = cell.get("revin", False)
         setting = f"mask={mask_spec.ratio}:{mask_spec.mode}"
     elif task == "superres":

@@ -17,12 +17,12 @@ from . import svgplot
 from .config import ConfigError, ModelConfig, TrainConfig, load_mixed_config
 from .data import DataError, MaskSpec, downsample, load_csv, make_mask
 from .decompose import decompose
-from .lifting import LiftingLevel, analyze
-from .model import (adapt_imputation, load_checkpoint, model_state,
-                    restore_model, save_checkpoint, zoh_upsample)
+from .lifting import LiftingLevel, analyze, lift_forward
+from .model import (load_checkpoint, model_state, restore_model,
+                    save_checkpoint, zoh_upsample)
 from .synth import SynthError, SynthSpec, denoised_target, generate
 from .tensor import Tensor, TensorError
-from .train import NumericalError, build_model, evaluate, train
+from .train import NumericalError, build_model, train
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -80,7 +80,6 @@ def cmd_train(args):
     if model_cfg.task == "impute":
         mask_spec = MaskSpec(mode=args.mask_mode, ratio=args.mask_ratio,
                              seed=train_cfg.seed)
-        train_cfg.loss_mode = "masked"
     model = build_model(dataset, model_cfg)
     os.makedirs(args.out, exist_ok=True)
     log_path = os.path.join(args.out, "training_log.csv")
@@ -139,7 +138,7 @@ def cmd_impute(args):
     x = test[:, :L]
     spec = MaskSpec(mode=args.mask_mode, ratio=args.mask_ratio, seed=args.seed or 0)
     mask = make_mask(spec, x.shape)
-    pred = model.forward(adapt_imputation(Tensor(x[None]), mask[None])).data[0]
+    pred = model.forward(Tensor((x * mask)[None])).data[0]
     filled = np.where(mask == 1, x, pred)
     os.makedirs(args.out, exist_ok=True)
     _write_csv(os.path.join(args.out, "imputed.csv"), dataset.channel_names, filled)
@@ -201,17 +200,14 @@ def cmd_decompose(args):
         levels = [LiftingLevel(values.shape[0], args.kernel_size)
                   for _ in range(args.levels)]
         pyramid = analyze(parts.seasonal, levels)
-        cur = parts.seasonal
         for i, detail in enumerate(pyramid.details, 1):
-            approx = pyramid.approx if i == len(pyramid.details) else None
             _write_csv(os.path.join(args.out, f"coeffs_level{i}.csv"),
                        names, detail.data)
             outputs.append(f"coeffs_level{i}.csv")
         # per-level approximations re-derived for the dump
-        from .lifting import lift_forward
         cur = parts.seasonal
         for i, level in enumerate(levels, 1):
-            cur, _ = lift_forward(cur, level)
+            cur, _, _ = lift_forward(cur, level)
             _write_csv(os.path.join(args.out, f"approx_level{i}.csv"),
                        names, cur.data)
             outputs.append(f"approx_level{i}.csv")

@@ -1,7 +1,7 @@
 """Dataclass configs and the key=value text format they serialize to."""
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 
 TASKS = ("forecast", "impute", "superres")
 INVERSE_MODES = ("tied", "learned")
@@ -42,8 +42,8 @@ class ModelConfig:
         if self.final_len < 4:
             raise ConfigError(
                 f"input_len {self.input_len} too short for {self.levels} levels")
-        if self.d_model % self.heads != 0:
-            raise ConfigError("d_model must be divisible by heads")
+        if not 1 <= self.heads <= self.d_model or self.d_model % self.heads != 0:
+            raise ConfigError("heads must be >= 1 and divide d_model")
         return self
 
     @property
@@ -61,7 +61,6 @@ class TrainConfig:
     max_epochs: int = 30
     patience: int = 3
     seed: int = 0
-    loss_mode: str = "full"   # "full" | "masked"
     clip_norm: float = 5.0
 
     def validate(self) -> "TrainConfig":
@@ -69,8 +68,6 @@ class TrainConfig:
             raise ConfigError("learning_rate must be >= 0")
         if self.patience < 1:
             raise ConfigError("patience must be >= 1")
-        if self.loss_mode not in ("full", "masked"):
-            raise ConfigError(f"unknown loss mode {self.loss_mode!r}")
         return self
 
 

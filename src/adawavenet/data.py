@@ -7,8 +7,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-
-MASK_RATIOS = (0.125, 0.25, 0.375, 0.5)
+from numpy.lib.stride_tricks import sliding_window_view
 
 
 class DataError(ValueError):
@@ -98,24 +97,21 @@ def build_dataset(names, data: np.ndarray, split_fractions=(0.7, 0.1, 0.2)) -> D
 
 
 def windows(dataset: Dataset, split: str, input_len: int, pred_len: int, task: str):
-    """Yield (input, target) [C, *] windows on the normalized scale.
+    """Return (inputs, targets): read-only [N, C, *] views of every window of
+    a split on the normalized scale, sliding with stride 1.
 
-    Forecasting slides with stride 1 and targets the following pred_len
-    steps; imputation and super-resolution target the window itself.
+    Forecasting targets the following pred_len steps; imputation and
+    super-resolution target the window itself, so targets is inputs.
+    Callers gather batches with ``inputs[idx]``.
     """
     vals = dataset.split_values(split)
-    n = vals.shape[1]
-    if task == "forecast":
-        if input_len + pred_len > n:
-            raise DataError(f"split {split!r} too short: {n} < {input_len + pred_len}")
-        for t in range(n - input_len - pred_len + 1):
-            yield vals[:, t:t + input_len], vals[:, t + input_len:t + input_len + pred_len]
-    else:
-        if input_len > n:
-            raise DataError(f"split {split!r} too short: {n} < {input_len}")
-        for t in range(n - input_len + 1):
-            win = vals[:, t:t + input_len]
-            yield win, win
+    span = input_len + pred_len if task == "forecast" else input_len
+    if span > vals.shape[1]:
+        raise DataError(f"split {split!r} too short: {vals.shape[1]} < {span}")
+    view = sliding_window_view(vals, span, axis=-1).transpose(1, 0, 2)
+    if task != "forecast":
+        return view, view
+    return view[..., :input_len], view[..., input_len:]
 
 
 @dataclass

@@ -27,9 +27,3 @@ def decompose(x: Tensor, ma_window: int = DEFAULT_MA_WINDOW) -> DecomposedSeries
     trend = T.moving_average(x, ma_window)
     seasonal = T.sub(x, trend)
     return DecomposedSeries(seasonal=seasonal, trend=trend, ma_window=ma_window)
-
-
-def recompose(d: DecomposedSeries) -> Tensor:
-    if d.seasonal.shape != d.trend.shape:
-        raise T.TensorError("seasonal/trend shape mismatch")
-    return T.add(d.seasonal, d.trend)

@@ -6,7 +6,7 @@ and stays frozen afterwards; only the linear heads train.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,7 +26,6 @@ class ChannelClustering:
     k: int
     assignments: np.ndarray
     centroids: np.ndarray
-    feature_tag: str = "znorm-mean-trend"
 
 
 def channel_features(trend_samples: np.ndarray) -> np.ndarray:

@@ -51,9 +51,6 @@ class LiftingLevel:
         self.b_u_t = param((channels,))
         self.w_p_t = param((channels, kernel_size))
         self.b_p_t = param((channels,))
-        # set on the last forward pass
-        self.cached_detail: Tensor | None = None
-        self.cached_pad = False
 
     def parameters(self, mode: str = "learned"):
         ps = {"w_p": self.w_p, "b_p": self.b_p, "w_u": self.w_u, "b_u": self.b_u}
@@ -78,24 +75,20 @@ def split(x: Tensor):
 
 
 def lift_forward(x: Tensor, level: LiftingLevel):
-    """One analysis step; returns (approx, detail) and caches both the detail
-    band and whether the input needed a padding sample."""
+    """One analysis step; returns (approx, detail, padded), where padded
+    says whether the input needed a padding sample."""
     padded = x.shape[-1] % 2 != 0
     if padded:
         x = T.pad_edge_last(x, 1)
     even, odd = split(x)
     detail = T.sub(odd, T.tanh(T.depthwise_conv1d(even, level.w_p, level.b_p)))
     approx = T.add(even, T.tanh(T.depthwise_conv1d(detail, level.w_u, level.b_u)))
-    level.cached_detail = detail
-    level.cached_pad = padded
-    return approx, detail
+    return approx, detail, padded
 
 
 def lift_inverse_tied(approx: Tensor, detail: Tensor, level: LiftingLevel,
-                      padded: bool | None = None) -> Tensor:
+                      padded: bool) -> Tensor:
     """Exact algebraic inverse of lift_forward using the forward kernels."""
-    if padded is None:
-        padded = level.cached_pad
     even = T.sub(approx, T.tanh(T.depthwise_conv1d(detail, level.w_u, level.b_u)))
     odd = T.add(detail, T.tanh(T.depthwise_conv1d(even, level.w_p, level.b_p)))
     x = T.interleave(even, odd)
@@ -105,8 +98,7 @@ def lift_inverse_tied(approx: Tensor, detail: Tensor, level: LiftingLevel,
 
 
 def lift_inverse_learned(approx_hat: Tensor, detail: Tensor, level: LiftingLevel,
-                         padded: bool | None = None,
-                         eq9_literal: bool = False) -> Tensor:
+                         padded: bool, eq9_literal: bool = False) -> Tensor:
     """Reconstruction with independently trained transposed-conv kernels.
 
     ``eq9_literal`` additionally subtracts the detail band from the incoming
@@ -114,8 +106,6 @@ def lift_inverse_learned(approx_hat: Tensor, detail: Tensor, level: LiftingLevel
     forward pass never adds it, so the subtraction is not part of a
     consistent inverse. Kept as an experimentation toggle.
     """
-    if padded is None:
-        padded = level.cached_pad
     if eq9_literal:
         approx_hat = T.sub(approx_hat, detail)
     even = T.sub(approx_hat, T.tanh(
@@ -143,9 +133,9 @@ def analyze(x: Tensor, levels: list[LiftingLevel]) -> WaveletPyramid:
     details, flags = [], []
     cur = x
     for level in levels:
-        cur, detail = lift_forward(cur, level)
+        cur, detail, padded = lift_forward(cur, level)
         details.append(detail)
-        flags.append(level.cached_pad)
+        flags.append(padded)
     return WaveletPyramid(cur, details, flags)
 
 
@@ -164,8 +154,8 @@ def synthesize(pyramid: WaveletPyramid, levels: list[LiftingLevel],
     for level, detail, padded in zip(reversed(levels), reversed(pyramid.details),
                                      reversed(pyramid.pad_flags)):
         if mode == "tied":
-            cur = lift_inverse_tied(cur, detail, level, padded=padded)
+            cur = lift_inverse_tied(cur, detail, level, padded)
         else:
-            cur = lift_inverse_learned(cur, detail, level, padded=padded,
+            cur = lift_inverse_learned(cur, detail, level, padded,
                                        eq9_literal=eq9_literal)
     return cur

@@ -1,9 +1,10 @@
 """The assembled network: decomposition, lifting cascade, channel attention,
-inverse cascade, grouped linear trend head, optional RevIN, task adapters,
-and the checkpoint format.
+inverse cascade, grouped linear trend head, optional RevIN, and the
+checkpoint format.
 """
 from __future__ import annotations
 
+import math
 import struct
 
 import numpy as np
@@ -11,6 +12,7 @@ import numpy as np
 from . import tensor as T
 from .attention import AttentionHead
 from .config import ModelConfig, from_text, to_text
+from .data import DataError
 from .decompose import decompose
 from .grouped import ChannelClustering, GroupedLinear
 from .lifting import LiftingLevel, WaveletPyramid, analyze, synthesize
@@ -112,33 +114,9 @@ class AdaWaveNet:
         return out
 
 
-# -- task adapters -----------------------------------------------------------
-
-def adapt_imputation(x_observed: Tensor, mask: np.ndarray) -> Tensor:
-    """Zero-fill masked (mask==0) positions; the mask is binary, 1=observed."""
-    if not np.all((mask == 0) | (mask == 1)):
-        raise T.TensorError("imputation mask must be binary")
-    if mask.shape != x_observed.shape:
-        raise T.TensorError("mask shape must match the input")
-    return T.mul(x_observed, Tensor(mask))
-
-
 def zoh_upsample(x_low: np.ndarray, r: int) -> np.ndarray:
     """Repeat each low-resolution sample r times along the last axis."""
     return np.repeat(x_low, r, axis=-1)
-
-
-def adapt_superres(x_low: Tensor, r: int) -> Tensor:
-    if r == 1:
-        return x_low
-    data = zoh_upsample(x_low.data, r)
-    out = Tensor(data)
-    if x_low.requires_grad:
-        out.requires_grad = True
-        out._parents = (x_low,)
-        out._backward = lambda g: (
-            g.reshape(g.shape[:-1] + (x_low.shape[-1], r)).sum(axis=-1),)
-    return out
 
 
 # -- checkpoints -------------------------------------------------------------
@@ -164,24 +142,52 @@ def save_checkpoint(path: str, config: ModelConfig, arrays: dict[str, np.ndarray
             fh.write(arr.astype("<f8").tobytes())
 
 
+class _Reader:
+    """Bounds-checked reads from a checkpoint held in memory: a read past the
+    end raises DataError instead of returning short data."""
+
+    def __init__(self, data: bytes, path: str):
+        self.data, self.pos, self.path = data, 0, path
+
+    def take(self, n: int) -> bytes:
+        if n > len(self.data) - self.pos:
+            raise DataError(f"{self.path}: checkpoint truncated")
+        self.pos += n
+        return self.data[self.pos - n:self.pos]
+
+    def u32(self) -> int:
+        return struct.unpack("<I", self.take(4))[0]
+
+
 def load_checkpoint(path: str):
+    """Returns (config, arrays); raises DataError for any malformed file:
+    wrong magic or version, a cut-off field, bad text, or trailing bytes."""
     with open(path, "rb") as fh:
-        if fh.read(4) != CHECKPOINT_MAGIC:
-            raise ValueError(f"{path}: not a checkpoint file")
-        (version,) = struct.unpack("<I", fh.read(4))
-        if version != CHECKPOINT_VERSION:
-            raise ValueError(f"{path}: unsupported checkpoint version {version}")
-        (tlen,) = struct.unpack("<I", fh.read(4))
-        config = from_text(ModelConfig, fh.read(tlen).decode("utf-8"))
-        (count,) = struct.unpack("<I", fh.read(4))
-        arrays = {}
-        for _ in range(count):
-            (nlen,) = struct.unpack("<I", fh.read(4))
-            name = fh.read(nlen).decode("utf-8")
-            (rank,) = struct.unpack("<I", fh.read(4))
-            shape = struct.unpack("<" + "I" * rank, fh.read(4 * rank))
-            n = int(np.prod(shape)) if rank else 1
-            arrays[name] = np.frombuffer(fh.read(8 * n), dtype="<f8").reshape(shape).copy()
+        r = _Reader(fh.read(), path)
+    if r.take(4) != CHECKPOINT_MAGIC:
+        raise DataError(f"{path}: not a checkpoint file")
+    version = r.u32()
+    if version != CHECKPOINT_VERSION:
+        raise DataError(f"{path}: unsupported checkpoint version {version}")
+    text = r.take(r.u32())
+    try:
+        config = from_text(ModelConfig, text.decode("utf-8"))
+    except ValueError as exc:       # bad UTF-8, unknown key, bad value
+        raise DataError(f"{path}: bad checkpoint config: {exc}") from exc
+    arrays = {}
+    for _ in range(r.u32()):
+        try:
+            name = r.take(r.u32()).decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise DataError(f"{path}: bad array name in checkpoint") from exc
+        shape = tuple(int(d) for d in np.frombuffer(r.take(4 * r.u32()), dtype="<u4"))
+        data = r.take(8 * math.prod(shape))
+        try:
+            arrays[name] = np.frombuffer(data, dtype="<f8").reshape(shape).copy()
+        except ValueError as exc:   # an empty array with an unrepresentable shape
+            raise DataError(f"{path}: bad shape {shape} for {name!r}") from exc
+    if r.pos != len(r.data):
+        raise DataError(f"{path}: trailing bytes after the last array")
     return config, arrays
 
 
@@ -196,15 +202,24 @@ def model_state(model: AdaWaveNet, norm_mean=None, norm_std=None) -> dict[str, n
 
 
 def restore_model(config: ModelConfig, arrays: dict[str, np.ndarray]) -> AdaWaveNet:
-    assignments = arrays["clustering.assignments"].astype(int)
-    clustering = ChannelClustering(k=config.n_clusters, assignments=assignments,
-                                  centroids=arrays["clustering.centroids"])
-    model = AdaWaveNet(config, channels=len(assignments), clustering=clustering)
-    params = model.parameters()
-    for name, p in params.items():
+    """Rebuild a model from checkpoint arrays; a missing or mis-shaped array
+    or invalid cluster assignments raise DataError."""
+    for name in ("clustering.assignments", "clustering.centroids"):
         if name not in arrays:
-            raise ValueError(f"checkpoint missing parameter {name!r}")
+            raise DataError(f"checkpoint missing array {name!r}")
+    assignments = arrays["clustering.assignments"]
+    if assignments.ndim != 1 or not np.all(np.isin(assignments,
+                                                   np.arange(config.n_clusters))):
+        raise DataError(f"checkpoint cluster assignments are not integers in "
+                        f"[0, {config.n_clusters})")
+    clustering = ChannelClustering(k=config.n_clusters,
+                                   assignments=assignments.astype(int),
+                                   centroids=arrays["clustering.centroids"])
+    model = AdaWaveNet(config, channels=len(assignments), clustering=clustering)
+    for name, p in model.parameters().items():
+        if name not in arrays:
+            raise DataError(f"checkpoint missing parameter {name!r}")
         if arrays[name].shape != p.data.shape:
-            raise ValueError(f"checkpoint shape mismatch for {name!r}")
+            raise DataError(f"checkpoint shape mismatch for {name!r}")
         p.data[...] = arrays[name]
     return model

@@ -11,10 +11,6 @@ import functools
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-# When True, every op asserts its output is finite (slow; used in tests and
-# when hunting NaNs during training).
-DEBUG_CHECK_FINITE = False
-
 
 class TensorError(ValueError):
     pass
@@ -91,21 +87,26 @@ class Tensor:
 
     # -- autodiff ------------------------------------------------------------
     def build_tape(self):
-        """Topologically sort the graph below this tensor."""
-        order, seen = [], set()
-
-        def visit(t):
-            if id(t) in seen:
-                return
-            seen.add(id(t))
-            for p in t._parents:
-                visit(p)
-            order.append(t)
-
-        visit(self)
+        """Topologically sort the graph below this tensor (depth-first
+        postorder, parents in order). Iterative, so that no self-referencing
+        closure keeps the graph alive after the caller drops it."""
+        order, seen = [], {id(self)}
+        stack = [(self, iter(self._parents))]
+        while stack:
+            node, parents = stack[-1]
+            for p in parents:
+                if id(p) not in seen:
+                    seen.add(id(p))
+                    stack.append((p, iter(p._parents)))
+                    break
+            else:
+                stack.pop()
+                order.append(node)
         return Tape(order)
 
     def backward(self):
+        """Accumulate d(self)/d(leaf) into ``.grad`` of every leaf that
+        requires grad; intermediate nodes keep ``grad`` None."""
         if self.size != 1:
             raise TensorError("backward requires a scalar loss")
         tape = self.build_tape()
@@ -117,9 +118,9 @@ class Tensor:
             g = grads.pop(id(node), None)
             if g is None:
                 continue
-            if node.requires_grad:
-                node.grad = g if node.grad is None else node.grad + g
             if node._backward is None:
+                if node.requires_grad:
+                    node.grad = g if node.grad is None else node.grad + g
                 continue
             node._consumed = True
             for parent, pg in zip(node._parents, node._backward(g)):
@@ -134,9 +135,6 @@ def _as_tensor(x):
 
 
 def _make(data, parents, backward):
-    data = np.asarray(data, dtype=np.float64)
-    if DEBUG_CHECK_FINITE and not np.all(np.isfinite(data)):
-        raise TensorError("non-finite values produced")
     out = Tensor(data)
     if any(p.requires_grad for p in parents):
         out.requires_grad = True
@@ -183,10 +181,6 @@ def neg(a):
     return _make(-a.data, (a,), lambda g: (-g,))
 
 
-def pow_const(a, p):
-    return _make(a.data ** p, (a,), lambda g: (g * p * a.data ** (p - 1),))
-
-
 def sqrt(a):
     y = np.sqrt(a.data)
     return _make(y, (a,), lambda g: (g * 0.5 / y,))
@@ -195,11 +189,6 @@ def sqrt(a):
 def tanh(a):
     y = np.tanh(a.data)
     return _make(y, (a,), lambda g: (g * (1.0 - y * y),))
-
-
-def relu(a):
-    m = a.data > 0
-    return _make(a.data * m, (a,), lambda g: (g * m,))
 
 
 def softmax(a, axis=-1):
@@ -376,102 +365,6 @@ def _zero_pad_last(x, pl, pr):
     xp = np.zeros(x.shape[:-1] + (x.shape[-1] + pl + pr,))
     xp[..., pl:pl + x.shape[-1]] = x
     return xp
-
-
-def conv1d(x, kernels, bias=None):
-    """Cross-correlation over the last axis.
-
-    x: [..., C_in, L]; kernels: [C_out, C_in, K]; output [..., C_out, L].
-    K must be odd so the zero padding is symmetric.
-    """
-    C_out, C_in, K = kernels.shape
-    if K % 2 == 0:
-        raise TensorError("conv1d with same padding requires an odd kernel size")
-    if x.shape[-2] != C_in:
-        raise TensorError(f"conv1d: input channels {x.shape[-2]} != {C_in}")
-    if bias is not None and bias.shape != (C_out,):
-        raise TensorError("conv1d: bias shape mismatch")
-    L = x.shape[-1]
-    pl, _pr = _pads(K)
-    squeeze = x.ndim == 2
-    xb = x.data[None] if squeeze else x.data
-    xp = _zero_pad_last(xb, *_pads(K))
-    out = np.zeros(xb.shape[:-2] + (C_out, L))
-    for k in range(K):
-        out += np.einsum("oi,...il->...ol", kernels.data[:, :, k], xp[..., k:k + L])
-    if bias is not None:
-        out += bias.data[:, None]
-    if squeeze:
-        out = out[0]
-
-    def backward(g):
-        gb = g[None] if squeeze else g
-        # input gradient: adjoint correlation
-        gxp = np.zeros(xb.shape[:-2] + (C_in, L + K - 1))
-        gw = np.zeros(kernels.shape)
-        gbf = gb.reshape(-1, C_out, L)
-        xpf = xp.reshape(-1, C_in, L + K - 1)
-        for k in range(K):
-            gxp[..., k:k + L] += np.einsum("oi,...ol->...il", kernels.data[:, :, k], gb)
-            gw[:, :, k] = np.einsum("bol,bil->oi", gbf, xpf[..., k:k + L])
-        gx = gxp[..., pl:pl + L]
-        if squeeze:
-            gx = gx[0]
-        grads = [gx, gw]
-        if bias is not None:
-            grads.append(gb.sum(axis=tuple(range(gb.ndim - 2)) + (gb.ndim - 1,)))
-        return tuple(grads)
-
-    parents = (x, kernels) if bias is None else (x, kernels, bias)
-    return _make(out, parents, backward)
-
-
-def conv_transpose1d(x, kernels, bias=None):
-    """Numerical adjoint of conv1d with respect to its input.
-
-    x: [..., C_in, L]; kernels: [C_in, C_out, K]; output [..., C_out, L].
-    Satisfies <conv1d(a, W), y> == <a, conv_transpose1d(y, W)> for zero bias,
-    where W is passed with its native [C_out, C_in, K] layout on both sides.
-    """
-    C_in, C_out, K = kernels.shape
-    if K % 2 == 0:
-        raise TensorError("conv_transpose1d with same padding requires an odd kernel size")
-    if x.shape[-2] != C_in:
-        raise TensorError(f"conv_transpose1d: input channels {x.shape[-2]} != {C_in}")
-    if bias is not None and bias.shape != (C_out,):
-        raise TensorError("conv_transpose1d: bias shape mismatch")
-    L = x.shape[-1]
-    pl, _pr = _pads(K)
-    squeeze = x.ndim == 2
-    xb = x.data[None] if squeeze else x.data
-    outp = np.zeros(xb.shape[:-2] + (C_out, L + K - 1))
-    for k in range(K):
-        outp[..., k:k + L] += np.einsum("io,...il->...ol", kernels.data[:, :, k], xb)
-    out = outp[..., pl:pl + L]
-    if bias is not None:
-        out = out + bias.data[:, None]
-    if squeeze:
-        out = out[0]
-
-    def backward(g):
-        gb = g[None] if squeeze else g
-        gp = _zero_pad_last(gb, *_pads(K))
-        gx = np.zeros(xb.shape)
-        gw = np.zeros(kernels.shape)
-        xbf = xb.reshape(-1, C_in, L)
-        gpf = gp.reshape(-1, C_out, L + K - 1)
-        for k in range(K):
-            gx += np.einsum("io,...ol->...il", kernels.data[:, :, k], gp[..., k:k + L])
-            gw[:, :, k] = np.einsum("bil,bol->io", xbf, gpf[..., k:k + L])
-        if squeeze:
-            gx = gx[0]
-        grads = [gx, gw]
-        if bias is not None:
-            grads.append(gb.sum(axis=tuple(range(gb.ndim - 2)) + (gb.ndim - 1,)))
-        return tuple(grads)
-
-    parents = (x, kernels) if bias is None else (x, kernels, bias)
-    return _make(out, parents, backward)
 
 
 def _depthwise_correlate(x, kernels, pl, pr):

@@ -11,7 +11,7 @@ from .config import ModelConfig, TrainConfig
 from .data import Dataset, MaskSpec, downsample, make_mask, windows
 from .decompose import decompose
 from .grouped import fit_clustering
-from .model import AdaWaveNet, adapt_imputation, zoh_upsample
+from .model import AdaWaveNet, zoh_upsample
 from .tensor import Tensor
 
 
@@ -62,11 +62,10 @@ def build_model(dataset: Dataset, config: ModelConfig) -> AdaWaveNet:
     channels = dataset.values.shape[0]
     clustering = None
     if config.n_clusters > 1:
-        trains = [x for x, _ in windows(dataset, "train", config.input_len,
-                                        config.pred_len, config.task)]
-        sample = np.stack(trains[:512])
+        xs, _ = windows(dataset, "train", config.input_len, config.pred_len,
+                        config.task)
         trends = np.stack([decompose(Tensor(w), config.ma_window).trend.data
-                           for w in sample])
+                           for w in xs[:512]])
         clustering = fit_clustering(trends, config.n_clusters, seed=config.seed)
     return AdaWaveNet(config, channels=channels, clustering=clustering)
 
@@ -89,24 +88,30 @@ def _prepare_batch(task, xs, ys, idx, mask_spec, sr_ratio, mask_salt):
     raise ValueError(f"unknown task {task!r}")
 
 
+def _scored_batches(model: AdaWaveNet, task: str, xs, ys,
+                    mask_spec: MaskSpec | None = None, sr_ratio: int = 1):
+    """Yield (prediction, target, loss_mask) numpy batches of 64 windows in
+    order; imputation masks use salt 0, so every call scores the same masks."""
+    for start in range(0, len(xs), 64):
+        idx = np.arange(start, min(start + 64, len(xs)))
+        inp, tgt, lm = _prepare_batch(task, xs, ys, idx, mask_spec, sr_ratio,
+                                      mask_salt=0)
+        yield model.forward(Tensor(inp)).data, tgt, lm
+
+
 def evaluate(model: AdaWaveNet, dataset: Dataset, split: str,
-             mask_spec: MaskSpec | None = None, batch_size: int = 64):
+             mask_spec: MaskSpec | None = None):
     """Average loss (masked for imputation) over a split."""
     cfg = model.config
-    pairs = list(windows(dataset, split, cfg.input_len, cfg.pred_len, cfg.task))
-    xs = np.stack([p[0] for p in pairs])
-    ys = np.stack([p[1] for p in pairs])
+    xs, ys = windows(dataset, split, cfg.input_len, cfg.pred_len, cfg.task)
     total, weight = 0.0, 0.0
-    for start in range(0, len(xs), batch_size):
-        idx = np.arange(start, min(start + batch_size, len(xs)))
-        inp, tgt, lm = _prepare_batch(cfg.task, xs, ys, idx, mask_spec,
-                                      cfg.sr_ratio, mask_salt=0)
-        pred = model.forward(Tensor(inp))
-        loss = T.mse(pred, Tensor(tgt), mask=Tensor(lm) if lm is not None else None)
+    for pred, tgt, lm in _scored_batches(model, cfg.task, xs, ys, mask_spec,
+                                         cfg.sr_ratio):
+        loss = T.mse(Tensor(pred), Tensor(tgt),
+                     mask=Tensor(lm) if lm is not None else None)
         w = lm.sum() if lm is not None else tgt.size
         total += loss.item() * w
         weight += w
-        del pred, loss      # free this batch's graph before the next forward
     return total / weight
 
 
@@ -123,9 +128,7 @@ def train(model: AdaWaveNet, dataset: Dataset, train_cfg: TrainConfig,
     train_cfg.validate()
     if cfg.task == "impute" and mask_spec is None:
         raise ValueError("imputation training requires a mask spec")
-    pairs = list(windows(dataset, "train", cfg.input_len, cfg.pred_len, cfg.task))
-    xs = np.stack([p[0] for p in pairs])
-    ys = np.stack([p[1] for p in pairs])
+    xs, ys = windows(dataset, "train", cfg.input_len, cfg.pred_len, cfg.task)
     params = model.parameters()
     state = AdamState(params)
     rng = np.random.default_rng(train_cfg.seed)

@@ -62,11 +62,6 @@ def _op_battery(rng):
          lambda: [n(2, 3, 4), n(4, 5)]),
         ("linear", lambda x, w, b: T.tsum(T.tanh(T.linear(x, w, b))),
          lambda: [n(2, 3, 4), n(4, 5), n(5)]),
-        ("conv1d", lambda x, w, b: T.tsum(T.tanh(T.conv1d(x, w, b))),
-         lambda: [n(2, 2, 8), n(3, 2, 3), n(3)]),
-        ("conv_transpose1d",
-         lambda x, w, b: T.tsum(T.tanh(T.conv_transpose1d(x, w, b))),
-         lambda: [n(2, 3, 8), n(3, 2, 3), n(2)]),
         ("depthwise_conv1d",
          lambda x, w, b: T.tsum(T.tanh(T.depthwise_conv1d(x, w, b))),
          lambda: [n(2, 3, 8), n(3, 4), n(3)]),

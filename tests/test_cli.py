@@ -114,6 +114,16 @@ class TestEvalAndShowcase:
         assert os.path.exists(os.path.join(out, "superres.csv"))
         assert os.path.exists(os.path.join(out, "superres.svg"))
 
+    def test_truncated_checkpoint_is_data_error(self, trained, tmp_path, capsys):
+        blob = open(os.path.join(trained, "model.awn"), "rb").read()
+        cut = tmp_path / "cut.awn"
+        cut.write_bytes(blob[:len(blob) // 2])
+        code = main(["eval", "--data", "synth:simple", "--checkpoint", str(cut),
+                     "--quiet"])
+        assert code == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.startswith("data error:") and err.count("\n") == 1
+
     def test_bad_checkpoint_path(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             main(["eval", "--data", "synth:simple", "--checkpoint",

@@ -98,33 +98,35 @@ class TestBuildDataset:
 class TestWindows:
     def test_forecast_count_and_boundaries(self, rng):
         ds = build_dataset(["x"], rng.normal(size=(1, 200)), (0.5, 0.0, 0.5))
-        got = list(windows(ds, "train", 10, 5, "forecast"))
-        assert len(got) == 100 - 10 - 5 + 1
+        xs, ys = windows(ds, "train", 10, 5, "forecast")
+        assert xs.shape == (100 - 10 - 5 + 1, 1, 10) and ys.shape == (86, 1, 5)
         vals = ds.split_values("train")
-        x0, y0 = got[0]
-        assert np.array_equal(x0, vals[:, :10]) and np.array_equal(y0, vals[:, 10:15])
-        xl, yl = got[-1]
-        assert np.array_equal(yl, vals[:, -5:])
+        assert np.array_equal(xs[0], vals[:, :10]) and np.array_equal(ys[0], vals[:, 10:15])
+        assert np.array_equal(ys[-1], vals[:, -5:])
+        # zero-copy, read-only views of one normalized split
+        assert np.shares_memory(xs, ys) and not xs.flags.writeable
 
     def test_impute_targets_are_the_window(self, rng):
         ds = build_dataset(["x"], rng.normal(size=(1, 40)), (1.0, 0.0, 0.0))
-        got = list(windows(ds, "train", 8, 8, "impute"))
-        assert len(got) == 40 - 8 + 1
-        for x, y in got:
-            assert x is y
+        xs, ys = windows(ds, "train", 8, 8, "impute")
+        assert xs is ys
+        assert xs.shape == (40 - 8 + 1, 1, 8)
+        vals = ds.split_values("train")
+        for t in range(len(xs)):
+            assert np.array_equal(xs[t], vals[:, t:t + 8])
 
     def test_short_split_rejected(self, rng):
         ds = build_dataset(["x"], rng.normal(size=(1, 30)), (0.5, 0.2, 0.3))
         with pytest.raises(DataError):
-            list(windows(ds, "val", 10, 10, "forecast"))
+            windows(ds, "val", 10, 10, "forecast")
 
     def test_no_window_crosses_split_boundary(self, rng):
         data = rng.normal(size=(1, 100))
         data[:, 50:] = 1e6        # sentinel values in the second half
         ds = build_dataset(["x"], data, (0.5, 0.0, 0.5))
-        for x, y in windows(ds, "train", 10, 5, "forecast"):
-            assert np.all(ds.denormalize(x) < 1e5)
-            assert np.all(ds.denormalize(y) < 1e5)
+        xs, ys = windows(ds, "train", 10, 5, "forecast")
+        assert np.all(ds.denormalize(xs) < 1e5)
+        assert np.all(ds.denormalize(ys) < 1e5)
 
 
 class TestMasks:

@@ -3,7 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from pytest import approx, raises
 
-from adawavenet.decompose import decompose, recompose
+from adawavenet.decompose import decompose
 from adawavenet.tensor import Tensor, TensorError
 
 
@@ -32,13 +32,6 @@ def test_even_window_rejected():
         decompose(Tensor([[1.0, 2.0]]), 4)
 
 
-def test_recompose_is_exact_sum():
-    rng = np.random.default_rng(3)
-    x = rng.normal(size=(3, 11))
-    d = decompose(Tensor(x), 5)
-    assert np.abs(recompose(d).data - (d.seasonal.data + d.trend.data)).max() == 0
-
-
 def test_linear_ramp_trend_is_ramp_in_interior():
     ramp = np.arange(50.0)[None, :]
     d = decompose(Tensor(ramp), 7)
@@ -55,4 +48,4 @@ def test_linear_ramp_trend_is_ramp_in_interior():
 def test_additivity_property(channels, length, window, seed):
     x = np.random.default_rng(seed).normal(size=(channels, length))
     d = decompose(Tensor(x), window)
-    assert np.abs(recompose(d).data - x).max() < 1e-12
+    assert np.abs(d.seasonal.data + d.trend.data - x).max() < 1e-12

@@ -68,20 +68,22 @@ class TestLiftForward:
     def test_zero_init_is_passthrough(self, rng):
         x = rng.normal(size=(2, 8))
         level = LiftingLevel(2, 3)
-        a, d = lift_forward(Tensor(x), level)
+        a, d, padded = lift_forward(Tensor(x), level)
+        assert not padded
         assert a.data == approx(x[:, 0::2])
         assert d.data == approx(x[:, 1::2])
 
     def test_constant_input_zero_init(self):
         level = LiftingLevel(1, 3)
-        a, d = lift_forward(Tensor(np.full((1, 8), 2.5)), level)
+        a, d, _ = lift_forward(Tensor(np.full((1, 8), 2.5)), level)
         assert np.all(a.data == 2.5) and np.all(d.data == 2.5)
 
     @pytest.mark.parametrize("K,L", [(3, 8), (7, 12), (4, 9), (16, 20)])
     def test_matches_scalar_oracle(self, rng, K, L):
         x = rng.normal(size=(2, L))
         level = randomize(LiftingLevel(2, K), rng)
-        a, d = lift_forward(Tensor(x), level)
+        a, d, padded = lift_forward(Tensor(x), level)
+        assert padded == (L % 2 == 1)
         a_ref, d_ref = lift_forward_scalar_oracle(x, level)
         assert a.data == approx(a_ref)
         assert d.data == approx(d_ref)
@@ -92,8 +94,8 @@ class TestTiedInverse:
     def test_perfect_reconstruction(self, rng, L):
         x = rng.normal(size=(2, L))
         level = randomize(LiftingLevel(2, 5), rng)
-        a, d = lift_forward(Tensor(x), level)
-        back = lift_inverse_tied(a, d, level)
+        a, d, padded = lift_forward(Tensor(x), level)
+        back = lift_inverse_tied(a, d, level, padded)
         assert np.abs(back.data - x).max() < 1e-10
 
     def test_zero_init_is_deinterleave(self, rng):

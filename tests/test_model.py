@@ -4,11 +4,12 @@ from pytest import approx
 
 import adawavenet.tensor as T
 from adawavenet.config import ConfigError, ModelConfig, from_text, to_text
+from adawavenet.data import DataError, MaskSpec
 from adawavenet.grouped import ChannelClustering
-from adawavenet.model import (AdaWaveNet, RevIN, adapt_imputation,
-                              adapt_superres, load_checkpoint, model_state,
+from adawavenet.model import (AdaWaveNet, RevIN, load_checkpoint, model_state,
                               restore_model, save_checkpoint, zoh_upsample)
 from adawavenet.tensor import Tensor, TensorError
+from adawavenet.train import _prepare_batch
 
 
 def small_config(**kw):
@@ -143,15 +144,16 @@ class TestConfig:
 
 class TestAdapters:
     def test_imputation_zero_fill(self, rng):
-        x = rng.normal(size=(2, 3, 8)) + 5.0
-        mask = (rng.uniform(size=x.shape) > 0.5).astype(float)
-        out = adapt_imputation(Tensor(x), mask)
-        assert out.data == approx(x * mask)
-
-    def test_imputation_rejects_nonbinary_mask(self, rng):
-        x = rng.normal(size=(1, 1, 4))
-        with pytest.raises(TensorError):
-            adapt_imputation(Tensor(x), np.full(x.shape, 0.5))
+        """The imputation batch zero-fills concealed positions and scores
+        exactly those."""
+        xs = rng.normal(size=(5, 3, 8)) + 5.0
+        idx = np.array([4, 1])
+        inp, tgt, loss_mask = _prepare_batch("impute", xs, xs, idx,
+                                             MaskSpec("random", 0.25, seed=2), 1, 0)
+        observed = 1.0 - loss_mask
+        assert set(np.unique(observed)) == {0.0, 1.0}
+        assert np.array_equal(tgt, xs[idx])
+        assert np.array_equal(inp, xs[idx] * observed)
 
     def test_zoh_upsample_by_definition(self):
         assert zoh_upsample(np.array([[1.0, 2.0]]), 3) == approx(
@@ -159,20 +161,11 @@ class TestAdapters:
 
     def test_superres_downsample_round_trip(self, rng):
         low = rng.normal(size=(2, 2, 8))
-        up = adapt_superres(Tensor(low), 4)
-        assert up.data[..., ::4] == approx(low)
-
-    def test_superres_gradient_is_blockwise_sum(self, rng):
-        low = Tensor(rng.normal(size=(1, 1, 4)), requires_grad=True)
-        up = adapt_superres(low, 2)
-        loss = T.tsum(T.mul(up, up))
-        loss.backward()
-        ref = 2.0 * np.repeat(low.data, 2, axis=-1)
-        assert low.grad == approx(ref.reshape(1, 1, 4, 2).sum(axis=-1))
+        assert np.array_equal(zoh_upsample(low, 4)[..., ::4], low)
 
     def test_superres_ratio_one_is_identity(self, rng):
-        x = Tensor(rng.normal(size=(1, 1, 4)))
-        assert adapt_superres(x, 1) is x
+        x = rng.normal(size=(1, 1, 4))
+        assert np.array_equal(zoh_upsample(x, 1), x)
 
 
 class TestCheckpoint:
@@ -205,8 +198,42 @@ class TestCheckpoint:
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "bad.awn"
         path.write_bytes(b"NOPE" + b"\x00" * 16)
-        with pytest.raises(ValueError):
+        with pytest.raises(DataError):
             load_checkpoint(str(path))
+
+    def tiny_checkpoint(self, tmp_path):
+        cfg = small_config(input_len=16, pred_len=16, d_model=4, heads=2)
+        path = tmp_path / "model.awn"
+        save_checkpoint(str(path), cfg, model_state(AdaWaveNet(cfg, channels=2)))
+        return path, path.read_bytes()
+
+    def test_truncated_or_extended_file_is_data_error(self, tmp_path):
+        path, blob = self.tiny_checkpoint(tmp_path)
+        for cut in range(len(blob)):
+            path.write_bytes(blob[:cut])
+            with pytest.raises(DataError):
+                load_checkpoint(str(path))
+        path.write_bytes(blob + b"\x00")
+        with pytest.raises(DataError):
+            load_checkpoint(str(path))
+
+    def test_bit_flips_load_or_raise_data_error(self, tmp_path):
+        path, blob = self.tiny_checkpoint(tmp_path)
+        for pos in range(0, len(blob), 5):
+            flipped = bytearray(blob)
+            flipped[pos] ^= 1 << (pos % 8)
+            path.write_bytes(bytes(flipped))
+            try:
+                restore_model(*load_checkpoint(str(path)))
+            except DataError:
+                pass
+
+    def test_shape_mismatch_rejected(self):
+        model = AdaWaveNet(small_config(), channels=1)
+        arrays = model_state(model)
+        arrays["trend.weights"] = arrays["trend.weights"][..., :-1]
+        with pytest.raises(DataError):
+            restore_model(model.config, arrays)
 
     def test_missing_parameter_rejected(self, tmp_path):
         model = AdaWaveNet(small_config(), channels=1)
@@ -216,7 +243,7 @@ class TestCheckpoint:
         path = str(tmp_path / "model.awn")
         save_checkpoint(path, model.config, arrays)
         cfg, loaded = load_checkpoint(path)
-        with pytest.raises(ValueError):
+        with pytest.raises(DataError):
             restore_model(cfg, loaded)
 
     def test_clustered_round_trip(self, tmp_path, rng):
