@@ -25,12 +25,9 @@ def _trunc_identity(rows, cols):
 
 class AttentionHead:
     def __init__(self, seq_len: int, target_len: int, d_model: int = DEFAULT_D_MODEL,
-                 heads: int = DEFAULT_HEADS, rng: np.random.Generator | None = None,
-                 init: str = "random"):
+                 heads: int = DEFAULT_HEADS, rng: np.random.Generator | None = None):
         if d_model % heads != 0:
             raise T.TensorError("d_model must be divisible by the head count")
-        if init == "identity" and (seq_len > d_model or target_len != seq_len):
-            raise T.TensorError("identity init needs seq_len == target_len <= d_model")
         self.seq_len = seq_len
         self.target_len = target_len
         self.d_model = d_model
@@ -45,21 +42,13 @@ class AttentionHead:
         self.w_embed = Tensor(_trunc_identity(seq_len, d_model), requires_grad=True)
         self.w_target = Tensor(_trunc_identity(d_model, target_len), requires_grad=True)
         self.b_target = Tensor(np.zeros(target_len), requires_grad=True)
-        if init == "identity":
-            zeros = lambda s: Tensor(np.zeros(s), requires_grad=True)
-            self.w_q = zeros((d_model, d_model))
-            self.w_k = zeros((d_model, d_model))
-            self.w_v = zeros((d_model, d_model))
-            self.w_out = zeros((d_model, d_model))
-        else:
-            scale = 1.0 / np.sqrt(d_model)
-            self.w_q = rand((d_model, d_model), scale)
-            self.w_k = rand((d_model, d_model), scale)
-            self.w_v = rand((d_model, d_model), scale)
-            self.w_out = rand((d_model, d_model), scale)
+        scale = 1.0 / np.sqrt(d_model)
+        self.w_q = rand((d_model, d_model), scale)
+        self.w_k = rand((d_model, d_model), scale)
+        self.w_v = rand((d_model, d_model), scale)
+        self.w_out = rand((d_model, d_model), scale)
         self.ln_scale = Tensor(np.ones(d_model), requires_grad=True)
         self.ln_shift = Tensor(np.zeros(d_model), requires_grad=True)
-        self.last_attention: np.ndarray | None = None
 
     def parameters(self):
         return {"w_embed": self.w_embed, "w_q": self.w_q, "w_k": self.w_k,
@@ -91,7 +80,6 @@ class AttentionHead:
         scores = T.mul(T.matmul(q, T.transpose(k, (0, 1, 3, 2))),
                        Tensor(1.0 / np.sqrt(dh)))
         weights = T.softmax(scores, axis=-1)                     # [B, H, C, C]
-        self.last_attention = weights.data
         mixed = T.matmul(weights, v)                             # [B, H, C, dh]
         mixed = T.reshape(T.transpose(mixed, (0, 2, 1, 3)), (B, C, self.d_model))
         tokens = T.add(tokens, T.matmul(mixed, self.w_out))      # residual

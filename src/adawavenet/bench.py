@@ -91,6 +91,14 @@ def evaluate_superres(model: AdaWaveNet, dataset: Dataset, ratio: int,
     return _evaluate(model, dataset, split, "superres", sr_ratio=ratio)
 
 
+def evaluate_task(model: AdaWaveNet, dataset: Dataset,
+                  mask_spec: MaskSpec | None = None, split: str = "test"):
+    """(MSE, MAE) of the model on the task it was configured for; mask_spec
+    is used only by imputation."""
+    cfg = model.config
+    return _evaluate(model, dataset, split, cfg.task, mask_spec, cfg.sr_ratio)
+
+
 # -- synthetic case study ----------------------------------------------------
 
 def case_study(family: str = "simple", seed: int = 0,
@@ -164,12 +172,7 @@ def run_cell(cell: dict, seed: int, verbose: bool = False) -> RunResult:
     t0 = time.time()
     model = build_model(dataset, model_cfg)
     train(model, dataset, train_cfg, mask_spec=mask_spec, verbose=verbose)
-    if task == "forecast":
-        mse, mae = evaluate_forecast(model, dataset)
-    elif task == "impute":
-        mse, mae = evaluate_impute(model, dataset, mask_spec)
-    else:
-        mse, mae = evaluate_superres(model, dataset, model_cfg.sr_ratio)
+    mse, mae = evaluate_task(model, dataset, mask_spec)
     return RunResult(task=task, dataset=name, setting=setting, mse=mse, mae=mae,
                      runtime_s=time.time() - t0,
                      config_hash=config_hash(model_cfg, train_cfg), seed=seed)

@@ -15,14 +15,13 @@ import numpy as np
 from . import bench as B
 from . import svgplot
 from .config import ConfigError, ModelConfig, TrainConfig, load_mixed_config
-from .data import DataError, MaskSpec, downsample, load_csv, make_mask
+from .data import DataError, MaskSpec, load_csv, windows
 from .decompose import decompose
-from .lifting import LiftingLevel, analyze, lift_forward
-from .model import (load_checkpoint, model_state, restore_model,
-                    save_checkpoint, zoh_upsample)
+from .lifting import LiftingLevel, check_depth, lift_forward
+from .model import load_checkpoint, model_state, restore_model, save_checkpoint
 from .synth import SynthError, SynthSpec, denoised_target, generate
 from .tensor import Tensor, TensorError
-from .train import NumericalError, build_model, train
+from .train import NumericalError, _prepare_batch, build_model, train
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -48,25 +47,42 @@ def _write_csv(path, names, values):
             writer.writerow([f"{v:.10g}" for v in row])
 
 
-def _read_window_csv(path):
-    """A header + numeric-rows CSV interpreted as one [C, L] window."""
-    ds = load_csv(path, (1.0, 0.0, 0.0))
-    return ds.channel_names, ds.values
-
-
 def _load_configs(path):
     if path is None:
         return ModelConfig().validate(), TrainConfig().validate()
     return load_mixed_config(path)
 
 
-def _resolve(data, seed):
-    return B.resolve_dataset(data, seed=seed)
+def _load_model(args):
+    """The checkpoint's model and the --data dataset (synthetic data is
+    generated with the checkpoint seed); the data must have the model's
+    channel count."""
+    config, arrays = load_checkpoint(args.checkpoint)
+    model = restore_model(config, arrays)
+    dataset = B.resolve_dataset(args.data, seed=config.seed)
+    channels = dataset.values.shape[0]
+    if channels != model.channels:
+        raise DataError(f"{args.data} has {channels} channel(s), the checkpoint "
+                        f"expects {model.channels}")
+    return model, dataset
 
 
-def _load_model(checkpoint):
-    config, arrays = load_checkpoint(checkpoint)
-    return restore_model(config, arrays), config
+def _mask_spec(args, model):
+    """Imputation masks as `eval` scores them; --seed defaults to the
+    checkpoint seed."""
+    seed = model.config.seed if args.seed is None else args.seed
+    return MaskSpec(mode=args.mask_mode, ratio=args.mask_ratio, seed=seed)
+
+
+def _test_window(model, dataset, task, index, mask_spec=None, sr_ratio=1):
+    """One test window (index may be negative) batched as evaluation batches
+    it: returns (input, target, loss_mask, prediction) without the batch axis."""
+    cfg = model.config
+    xs, ys = windows(dataset, "test", cfg.input_len, cfg.pred_len, task)
+    inp, tgt, lm = _prepare_batch(task, xs, ys, np.array([index % len(xs)]),
+                                  mask_spec, sr_ratio, mask_salt=0)
+    pred = model.forward(Tensor(inp)).data[0]
+    return inp[0], tgt[0], None if lm is None else lm[0], pred
 
 
 def cmd_train(args):
@@ -75,7 +91,7 @@ def cmd_train(args):
         model_cfg.seed = train_cfg.seed = args.seed
     if args.eq9_literal:
         model_cfg.eq9_literal = True
-    dataset = _resolve(args.data, model_cfg.seed)
+    dataset = B.resolve_dataset(args.data, seed=model_cfg.seed)
     mask_spec = None
     if model_cfg.task == "impute":
         mask_spec = MaskSpec(mode=args.mask_mode, ratio=args.mask_ratio,
@@ -100,27 +116,15 @@ def cmd_train(args):
 
 
 def cmd_eval(args):
-    model, config = _load_model(args.checkpoint)
-    dataset = _resolve(args.data, config.seed)
-    if config.task == "forecast":
-        mse, mae = B.evaluate_forecast(model, dataset)
-    elif config.task == "impute":
-        spec = MaskSpec(mode=args.mask_mode, ratio=args.mask_ratio, seed=config.seed)
-        mse, mae = B.evaluate_impute(model, dataset, spec)
-    else:
-        mse, mae = B.evaluate_superres(model, dataset, config.sr_ratio)
-    print(f"task={config.task} test MSE={mse:.6f} MAE={mae:.6f}")
+    model, dataset = _load_model(args)
+    mse, mae = B.evaluate_task(model, dataset, _mask_spec(args, model))
+    print(f"task={model.config.task} test MSE={mse:.6f} MAE={mae:.6f}")
     return EXIT_OK
 
 
 def cmd_forecast(args):
-    model, config = _load_model(args.checkpoint)
-    dataset = _resolve(args.data, config.seed)
-    test = dataset.split_values("test")
-    L, Lp = config.input_len, config.pred_len
-    x = test[:, -L - Lp:-Lp]
-    truth = test[:, -Lp:]
-    pred = model.forward(Tensor(x[None])).data[0]
+    model, dataset = _load_model(args)
+    x, truth, _, pred = _test_window(model, dataset, "forecast", -1)
     os.makedirs(args.out, exist_ok=True)
     _write_csv(os.path.join(args.out, "forecast.csv"), dataset.channel_names, pred)
     B.showcase_plot(os.path.join(args.out, "forecast.svg"), x[args.channel],
@@ -131,14 +135,10 @@ def cmd_forecast(args):
 
 
 def cmd_impute(args):
-    model, config = _load_model(args.checkpoint)
-    dataset = _resolve(args.data, config.seed)
-    test = dataset.split_values("test")
-    L = config.input_len
-    x = test[:, :L]
-    spec = MaskSpec(mode=args.mask_mode, ratio=args.mask_ratio, seed=args.seed or 0)
-    mask = make_mask(spec, x.shape)
-    pred = model.forward(Tensor((x * mask)[None])).data[0]
+    model, dataset = _load_model(args)
+    spec = _mask_spec(args, model)
+    _, x, loss_mask, pred = _test_window(model, dataset, "impute", 0, mask_spec=spec)
+    mask = 1.0 - loss_mask
     filled = np.where(mask == 1, x, pred)
     os.makedirs(args.out, exist_ok=True)
     _write_csv(os.path.join(args.out, "imputed.csv"), dataset.channel_names, filled)
@@ -157,19 +157,14 @@ def cmd_impute(args):
 
 
 def cmd_superres(args):
-    model, config = _load_model(args.checkpoint)
-    dataset = _resolve(args.data, config.seed)
-    test = dataset.split_values("test")
-    L = config.input_len
-    x = test[:, :L]
-    low = downsample(x, args.ratio)
-    pred = model.forward(Tensor(zoh_upsample(low, args.ratio)[None])).data[0]
+    model, dataset = _load_model(args)
+    low_res, x, _, pred = _test_window(model, dataset, "superres", 0,
+                                       sr_ratio=args.ratio)
     os.makedirs(args.out, exist_ok=True)
     _write_csv(os.path.join(args.out, "superres.csv"), dataset.channel_names, pred)
     ch = args.channel
     svgplot.save_chart(os.path.join(args.out, "superres.svg"),
-                       {"ground truth": x[ch],
-                        "low-res input": zoh_upsample(low, args.ratio)[ch],
+                       {"ground truth": x[ch], "low-res input": low_res[ch],
                         "prediction": pred[ch]},
                        title=f"super-resolution r={args.ratio}")
     print(f"wrote superres.csv and superres.svg to {args.out}")
@@ -190,27 +185,23 @@ def cmd_synth(args):
 
 
 def cmd_decompose(args):
-    names, values = _read_window_csv(args.data)
+    window = load_csv(args.data, (1.0, 0.0, 0.0))   # the whole CSV is one window
+    names, values = window.channel_names, window.values
     os.makedirs(args.out, exist_ok=True)
     parts = decompose(Tensor(values), args.ma_window)
     _write_csv(os.path.join(args.out, "seasonal.csv"), names, parts.seasonal.data)
     _write_csv(os.path.join(args.out, "trend.csv"), names, parts.trend.data)
     outputs = ["seasonal.csv", "trend.csv"]
     if args.wavelet:
-        levels = [LiftingLevel(values.shape[0], args.kernel_size)
-                  for _ in range(args.levels)]
-        pyramid = analyze(parts.seasonal, levels)
-        for i, detail in enumerate(pyramid.details, 1):
-            _write_csv(os.path.join(args.out, f"coeffs_level{i}.csv"),
-                       names, detail.data)
-            outputs.append(f"coeffs_level{i}.csv")
-        # per-level approximations re-derived for the dump
-        cur = parts.seasonal
-        for i, level in enumerate(levels, 1):
-            cur, _, _ = lift_forward(cur, level)
-            _write_csv(os.path.join(args.out, f"approx_level{i}.csv"),
-                       names, cur.data)
-            outputs.append(f"approx_level{i}.csv")
+        check_depth(values.shape[1], args.levels)
+        approx = parts.seasonal
+        for i in range(1, args.levels + 1):
+            level = LiftingLevel(values.shape[0], args.kernel_size)
+            approx, detail, _ = lift_forward(approx, level)
+            for name, band in ((f"coeffs_level{i}.csv", detail),
+                               (f"approx_level{i}.csv", approx)):
+                _write_csv(os.path.join(args.out, name), names, band.data)
+                outputs.append(name)
     print(f"wrote {', '.join(outputs)} to {args.out}")
     return EXIT_OK
 
@@ -305,10 +296,7 @@ def main(argv=None):
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (ConfigError, SynthError) as exc:
+    except (UsageError, ConfigError, SynthError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except DataError as exc:

@@ -33,6 +33,9 @@ class ModelConfig:
             raise ConfigError(f"unknown task {self.task!r}")
         if self.inverse_mode not in INVERSE_MODES:
             raise ConfigError(f"unknown inverse mode {self.inverse_mode!r}")
+        for name in ("levels", "kernel_size", "n_clusters"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be >= 1")
         if self.pred_len != self.input_len:
             raise ConfigError(
                 "pred_len must equal input_len (the architecture aligns analysis "
@@ -64,10 +67,11 @@ class TrainConfig:
     clip_norm: float = 5.0
 
     def validate(self) -> "TrainConfig":
-        if self.learning_rate <= 0 and self.learning_rate != 0.0:
+        if self.learning_rate < 0:
             raise ConfigError("learning_rate must be >= 0")
-        if self.patience < 1:
-            raise ConfigError("patience must be >= 1")
+        for name in ("batch_size", "max_epochs", "patience"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be >= 1")
         return self
 
 
@@ -101,7 +105,10 @@ def from_text(cls, text: str):
         typ = known[key]
         if isinstance(typ, str):
             typ = types[typ]
-        kwargs[key] = _coerce(value, typ)
+        try:
+            kwargs[key] = _coerce(value, typ)
+        except ValueError as exc:
+            raise ConfigError(f"line {lineno}: bad value for {key!r}: {exc}") from None
     return cls(**kwargs).validate()
 
 
@@ -113,17 +120,12 @@ def load_mixed_config(path: str):
     with open(path) as fh:
         for line in fh:
             stripped = line.split("#", 1)[0].strip()
-            if not stripped or "=" not in stripped:
-                continue
-            key = stripped.split("=", 1)[0].strip()
-            matched = False
-            if key in model_keys:
-                model_lines.append(stripped)
-                matched = True
-            if key in train_keys:
-                train_lines.append(stripped)
-                matched = True
-            if not matched:
+            key = stripped.split("=", 1)[0].strip() if "=" in stripped else None
+            if key is not None and key not in model_keys | train_keys:
                 raise ConfigError(f"unknown config key {key!r}")
+            # blank lines stand in for the other class's keys, so from_text
+            # reports line numbers of the file
+            model_lines.append(stripped if key in model_keys else "")
+            train_lines.append(stripped if key in train_keys else "")
     return (from_text(ModelConfig, "\n".join(model_lines)),
             from_text(TrainConfig, "\n".join(train_lines)))

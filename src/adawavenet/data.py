@@ -119,7 +119,6 @@ class MaskSpec:
     mode: str                  # "random" | "extended"
     ratio: float
     seed: int = 0
-    segment_len: int | None = None  # extended mode: defaults to ratio * L
 
     def validate(self):
         if self.mode not in ("random", "extended"):
@@ -148,9 +147,8 @@ def make_mask(spec: MaskSpec, shape: tuple[int, int],
             idx = rng.choice(L, size=n_masked, replace=False)
             mask[c, idx] = 0.0
     else:
-        block = spec.segment_len or n_masked
-        offset = int(rng.integers(0, L - block + 1))
-        mask[:, offset:offset + block] = 0.0
+        offset = int(rng.integers(0, L - n_masked + 1))
+        mask[:, offset:offset + n_masked] = 0.0
     return mask
 
 

@@ -18,12 +18,10 @@ DEFAULT_MA_WINDOW = 25
 class DecomposedSeries:
     seasonal: Tensor
     trend: Tensor
-    ma_window: int
 
 
 def decompose(x: Tensor, ma_window: int = DEFAULT_MA_WINDOW) -> DecomposedSeries:
-    if ma_window % 2 == 0 or ma_window < 1:
-        raise T.TensorError("ma_window must be odd and >= 1")
+    """Split x into (seasonal, trend); moving_average rejects an even or
+    non-positive window."""
     trend = T.moving_average(x, ma_window)
-    seasonal = T.sub(x, trend)
-    return DecomposedSeries(seasonal=seasonal, trend=trend, ma_window=ma_window)
+    return DecomposedSeries(seasonal=T.sub(x, trend), trend=trend)

@@ -14,7 +14,6 @@ from . import tensor as T
 from .tensor import Tensor
 
 MAX_LLOYD_ITERS = 100
-MAX_FEATURE_WINDOWS = 512
 
 
 class ClusteringError(ValueError):
@@ -97,9 +96,6 @@ def fit_clustering(trend_samples: np.ndarray, k: int, seed: int = 0) -> ChannelC
     C = trend_samples.shape[1]
     if k > C:
         raise ClusteringError(f"k={k} exceeds channel count {C}")
-    if trend_samples.shape[0] > MAX_FEATURE_WINDOWS:
-        idx = np.linspace(0, trend_samples.shape[0] - 1, MAX_FEATURE_WINDOWS).astype(int)
-        trend_samples = trend_samples[idx]
     feats = channel_features(trend_samples)
     assignments, centroids = kmeans(feats, k, seed=seed)
     return ChannelClustering(k=k, assignments=assignments, centroids=centroids)

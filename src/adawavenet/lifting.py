@@ -13,7 +13,8 @@ an exact de-interleave; training then bends the wavelet away from that
 starting point. Odd-length inputs are right-padded by edge replication and
 the pad is cropped again on the way back.
 
-Two reconstruction modes exist: "tied" reuses the forward kernels and is an
+One inverse step serves two reconstruction modes that differ only in the
+convolution and the kernels: "tied" reuses the forward kernels and is an
 exact algebraic inverse (perfect reconstruction for any kernels); "learned"
 uses independently trained transposed-convolution kernels.
 """
@@ -34,10 +35,9 @@ class LiftingLevel:
     kernels (``w_u_t`` etc.) are only used in learned-inverse mode.
     """
 
-    def __init__(self, channels: int, kernel_size: int, rng: np.random.Generator | None = None):
+    def __init__(self, channels: int, kernel_size: int):
         if kernel_size < 1:
             raise T.TensorError("kernel_size must be >= 1")
-        self.channels = channels
         self.kernel_size = kernel_size
 
         def param(shape):
@@ -69,8 +69,6 @@ class WaveletPyramid:
 
 def split(x: Tensor):
     """Polyphase split into even- and odd-indexed samples (L must be even)."""
-    if x.shape[-1] % 2 != 0:
-        raise T.TensorError("split requires an even length")
     return T.take_even(x), T.take_odd(x)
 
 
@@ -86,50 +84,54 @@ def lift_forward(x: Tensor, level: LiftingLevel):
     return approx, detail, padded
 
 
-def lift_inverse_tied(approx: Tensor, detail: Tensor, level: LiftingLevel,
-                      padded: bool) -> Tensor:
-    """Exact algebraic inverse of lift_forward using the forward kernels."""
-    even = T.sub(approx, T.tanh(T.depthwise_conv1d(detail, level.w_u, level.b_u)))
-    odd = T.add(detail, T.tanh(T.depthwise_conv1d(even, level.w_p, level.b_p)))
-    x = T.interleave(even, odd)
-    if padded:
-        x = T.crop_last(x, 1)
-    return x
+def lift_inverse(approx: Tensor, detail: Tensor, level: LiftingLevel,
+                 padded: bool, mode: str, eq9_literal: bool = False) -> Tensor:
+    """One synthesis step: undo the update step, then the predict step.
 
+    "tied" correlates with the forward kernels (``depthwise_conv1d``) and is
+    the exact algebraic inverse of lift_forward; "learned" uses the
+    independently trained ``*_t`` kernels with ``depthwise_conv_transpose1d``.
 
-def lift_inverse_learned(approx_hat: Tensor, detail: Tensor, level: LiftingLevel,
-                         padded: bool, eq9_literal: bool = False) -> Tensor:
-    """Reconstruction with independently trained transposed-conv kernels.
-
-    ``eq9_literal`` additionally subtracts the detail band from the incoming
-    approximation before the inverse update step; off by default because the
-    forward pass never adds it, so the subtraction is not part of a
-    consistent inverse. Kept as an experimentation toggle.
+    ``eq9_literal`` (learned mode only) additionally subtracts the detail band
+    from the incoming approximation before the inverse update step; off by
+    default because the forward pass never adds it, so the subtraction is not
+    part of a consistent inverse. Kept as an experimentation toggle.
     """
-    if eq9_literal:
-        approx_hat = T.sub(approx_hat, detail)
-    even = T.sub(approx_hat, T.tanh(
-        T.depthwise_conv_transpose1d(detail, level.w_u_t, level.b_u_t)))
-    odd = T.add(detail, T.tanh(
-        T.depthwise_conv_transpose1d(even, level.w_p_t, level.b_p_t)))
+    if mode == "tied":
+        conv = T.depthwise_conv1d
+        w_u, b_u, w_p, b_p = level.w_u, level.b_u, level.w_p, level.b_p
+    elif mode == "learned":
+        conv = T.depthwise_conv_transpose1d
+        w_u, b_u, w_p, b_p = level.w_u_t, level.b_u_t, level.w_p_t, level.b_p_t
+        if eq9_literal:
+            approx = T.sub(approx, detail)
+    else:
+        raise T.TensorError(f"unknown inverse mode {mode!r}")
+    even = T.sub(approx, T.tanh(conv(detail, w_u, b_u)))
+    odd = T.add(detail, T.tanh(conv(even, w_p, b_p)))
     x = T.interleave(even, odd)
     if padded:
         x = T.crop_last(x, 1)
     return x
+
+
+def check_depth(length: int, n_levels: int):
+    """Raise TensorError unless 1 <= n_levels and n_levels halvings of a
+    length-``length`` sequence leave at least MIN_FINAL_LENGTH samples."""
+    if n_levels < 1:
+        raise T.TensorError("at least one level required")
+    final_len = length
+    for _ in range(n_levels):
+        final_len = (final_len + 1) // 2
+    if final_len < MIN_FINAL_LENGTH:
+        raise T.TensorError(
+            f"too many levels: final length {final_len} < {MIN_FINAL_LENGTH}")
 
 
 def analyze(x: Tensor, levels: list[LiftingLevel]) -> WaveletPyramid:
     """Apply the lifting cascade, producing the final approximation and the
     per-level detail bands."""
-    n = len(levels)
-    if n < 1:
-        raise T.TensorError("at least one level required")
-    final_len = x.shape[-1]
-    for _ in range(n):
-        final_len = (final_len + 1) // 2
-    if final_len < MIN_FINAL_LENGTH:
-        raise T.TensorError(
-            f"too many levels: final length {final_len} < {MIN_FINAL_LENGTH}")
+    check_depth(x.shape[-1], len(levels))
     details, flags = [], []
     cur = x
     for level in levels:
@@ -148,14 +150,8 @@ def synthesize(pyramid: WaveletPyramid, levels: list[LiftingLevel],
     """
     if len(levels) != len(pyramid.details):
         raise T.TensorError("level count does not match pyramid depth")
-    if mode not in ("tied", "learned"):
-        raise T.TensorError(f"unknown inverse mode {mode!r}")
     cur = pyramid.approx
     for level, detail, padded in zip(reversed(levels), reversed(pyramid.details),
                                      reversed(pyramid.pad_flags)):
-        if mode == "tied":
-            cur = lift_inverse_tied(cur, detail, level, padded)
-        else:
-            cur = lift_inverse_learned(cur, detail, level, padded,
-                                       eq9_literal=eq9_literal)
+        cur = lift_inverse(cur, detail, level, padded, mode, eq9_literal)
     return cur

@@ -160,10 +160,14 @@ class _Reader:
 
 
 def load_checkpoint(path: str):
-    """Returns (config, arrays); raises DataError for any malformed file:
-    wrong magic or version, a cut-off field, bad text, or trailing bytes."""
-    with open(path, "rb") as fh:
-        r = _Reader(fh.read(), path)
+    """Returns (config, arrays); raises DataError for an unreadable or
+    malformed file: wrong magic or version, a cut-off field, bad text, or
+    trailing bytes."""
+    try:
+        with open(path, "rb") as fh:
+            r = _Reader(fh.read(), path)
+    except OSError as exc:
+        raise DataError(f"cannot open {path}: {exc}") from exc
     if r.take(4) != CHECKPOINT_MAGIC:
         raise DataError(f"{path}: not a checkpoint file")
     version = r.u32()

@@ -48,42 +48,11 @@ class Tensor:
     def item(self):
         return float(self.data)
 
-    def detach(self):
-        return Tensor(self.data.copy())
-
     def zero_grad(self):
         self.grad = None
 
     def __repr__(self):
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
-
-    # -- operator sugar ------------------------------------------------------
-    def __add__(self, other):
-        return add(self, _as_tensor(other))
-
-    def __radd__(self, other):
-        return add(_as_tensor(other), self)
-
-    def __sub__(self, other):
-        return sub(self, _as_tensor(other))
-
-    def __rsub__(self, other):
-        return sub(_as_tensor(other), self)
-
-    def __mul__(self, other):
-        return mul(self, _as_tensor(other))
-
-    def __rmul__(self, other):
-        return mul(_as_tensor(other), self)
-
-    def __truediv__(self, other):
-        return div(self, _as_tensor(other))
-
-    def __neg__(self):
-        return neg(self)
-
-    def __matmul__(self, other):
-        return matmul(self, _as_tensor(other))
 
     # -- autodiff ------------------------------------------------------------
     def build_tape(self):
@@ -130,10 +99,6 @@ class Tensor:
                 grads[key] = pg if key not in grads else grads[key] + pg
 
 
-def _as_tensor(x):
-    return x if isinstance(x, Tensor) else Tensor(x)
-
-
 def _make(data, parents, backward):
     out = Tensor(data)
     if any(p.requires_grad for p in parents):
@@ -175,10 +140,6 @@ def div(a, b):
     return _make(a.data / b.data, (a, b),
                  lambda g: (_unbroadcast(g / b.data, a.shape),
                             _unbroadcast(-g * a.data / b.data ** 2, b.shape)))
-
-
-def neg(a):
-    return _make(-a.data, (a,), lambda g: (-g,))
 
 
 def sqrt(a):
@@ -289,29 +250,26 @@ def transpose(a, axes):
     return _make(a.data.transpose(axes), (a,), lambda g: (g.transpose(inv),))
 
 
-def take_even(a):
-    """Even-indexed samples along the last axis; length must be even."""
+def _take_phase(a, phase):
+    """Samples phase, phase + 2, ... along the last axis, which must have
+    even length."""
     if a.shape[-1] % 2 != 0:
-        raise TensorError("take_even requires an even last dimension")
+        raise TensorError("polyphase split requires an even last dimension")
 
     def backward(g):
         out = np.zeros(a.shape)
-        out[..., 0::2] = g
+        out[..., phase::2] = g
         return (out,)
 
-    return _make(a.data[..., 0::2], (a,), backward)
+    return _make(a.data[..., phase::2], (a,), backward)
+
+
+def take_even(a):
+    return _take_phase(a, 0)
 
 
 def take_odd(a):
-    if a.shape[-1] % 2 != 0:
-        raise TensorError("take_odd requires an even last dimension")
-
-    def backward(g):
-        out = np.zeros(a.shape)
-        out[..., 1::2] = g
-        return (out,)
-
-    return _make(a.data[..., 1::2], (a,), backward)
+    return _take_phase(a, 1)
 
 
 def interleave(even, odd):

@@ -8,11 +8,13 @@ import numpy as np
 
 from . import tensor as T
 from .config import ModelConfig, TrainConfig
-from .data import Dataset, MaskSpec, downsample, make_mask, windows
+from .data import DataError, Dataset, MaskSpec, downsample, make_mask, windows
 from .decompose import decompose
 from .grouped import fit_clustering
 from .model import AdaWaveNet, zoh_upsample
 from .tensor import Tensor
+
+MAX_FEATURE_WINDOWS = 512   # leading train windows whose trends feed k-means
 
 
 class NumericalError(RuntimeError):
@@ -60,12 +62,15 @@ def clip_gradients(params: dict[str, Tensor], max_norm: float) -> float:
 def build_model(dataset: Dataset, config: ModelConfig) -> AdaWaveNet:
     """Construct the model, fitting the channel clustering on train trends."""
     channels = dataset.values.shape[0]
+    if config.n_clusters > channels:
+        raise DataError(f"n_clusters={config.n_clusters} exceeds the data's "
+                        f"{channels} channel(s)")
     clustering = None
     if config.n_clusters > 1:
         xs, _ = windows(dataset, "train", config.input_len, config.pred_len,
                         config.task)
         trends = np.stack([decompose(Tensor(w), config.ma_window).trend.data
-                           for w in xs[:512]])
+                           for w in xs[:MAX_FEATURE_WINDOWS]])
         clustering = fit_clustering(trends, config.n_clusters, seed=config.seed)
     return AdaWaveNet(config, channels=channels, clustering=clustering)
 

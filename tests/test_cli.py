@@ -5,8 +5,13 @@ import os
 import numpy as np
 import pytest
 
+from adawavenet.bench import resolve_dataset
 from adawavenet.cli import (EXIT_DATA, EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE,
                             main)
+from adawavenet.data import MaskSpec, windows
+from adawavenet.model import load_checkpoint, restore_model
+from adawavenet.tensor import Tensor
+from adawavenet.train import _prepare_batch, _scored_batches
 
 SMALL = """\
 levels=2
@@ -29,13 +34,45 @@ def small_config(tmp_path):
     return str(path)
 
 
-@pytest.fixture
-def trained(tmp_path, small_config):
+def train_run(tmp_path, config, seed):
     out = str(tmp_path / "run")
-    code = main(["train", "--data", "synth:simple", "--config", small_config,
-                 "--out", out, "--quiet", "--seed", "0"])
+    code = main(["train", "--data", "synth:simple", "--config", config,
+                 "--out", out, "--quiet", "--seed", str(seed)])
     assert code == EXIT_OK
     return out
+
+
+@pytest.fixture
+def trained(tmp_path, small_config):
+    return train_run(tmp_path, small_config, 0)
+
+
+def read_csv_cells(path):
+    """The body of a CSV written by the CLI, as strings, one row per channel."""
+    with open(path) as fh:
+        return np.array(list(csv.reader(fh))[1:]).T
+
+
+def as_cells(values):
+    return np.vectorize(lambda v: f"{v:.10g}")(values)
+
+
+def shared_path_batch(checkpoint, task, index, mask_spec=None, sr_ratio=1):
+    """The checkpoint's model and one test window batched by _prepare_batch."""
+    config, arrays = load_checkpoint(checkpoint)
+    model = restore_model(config, arrays)
+    dataset = resolve_dataset("synth:simple", seed=config.seed)
+    xs, ys = windows(dataset, "test", config.input_len, config.pred_len, task)
+    idx = np.array([index % len(xs)])
+    return model, _prepare_batch(task, xs, ys, idx, mask_spec, sr_ratio, 0)
+
+
+def two_channel_csv(tmp_path):
+    t = np.arange(400) / 10.0
+    path = tmp_path / "two.csv"
+    path.write_text("a,b\n" + "\n".join(f"{np.sin(v):.6f},{np.cos(v):.6f}"
+                                         for v in t) + "\n")
+    return str(path)
 
 
 class TestTrain:
@@ -66,6 +103,27 @@ class TestTrain:
         path.write_text("x\n" + "\n".join(rows) + "\n")
         assert main(["train", "--data", str(path), "--config", small_config,
                      "--out", str(tmp_path / "o"), "--quiet"]) == EXIT_DATA
+
+    @pytest.mark.parametrize("line", ["levels=0", "kernel_size=0",
+                                      "n_clusters=0", "batch_size=0",
+                                      "max_epochs=0", "levels=abc"])
+    def test_bad_config_value_is_usage_error(self, tmp_path, line, capsys):
+        cfg = tmp_path / "bad.txt"
+        cfg.write_text(SMALL + line + "\n")
+        code = main(["train", "--data", "synth:simple", "--config", str(cfg),
+                     "--out", str(tmp_path / "o"), "--quiet"])
+        assert code == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("usage error:") and err.count("\n") == 1
+
+    def test_more_clusters_than_channels_is_data_error(self, tmp_path, capsys):
+        cfg = tmp_path / "k.txt"
+        cfg.write_text(SMALL + "n_clusters=2\n")
+        code = main(["train", "--data", "synth:simple", "--config", str(cfg),
+                     "--out", str(tmp_path / "o"), "--quiet"])
+        assert code == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.startswith("data error:") and err.count("\n") == 1
 
     def test_missing_subcommand_is_usage_error(self):
         assert main([]) == EXIT_USAGE
@@ -124,10 +182,62 @@ class TestEvalAndShowcase:
         err = capsys.readouterr().err
         assert err.startswith("data error:") and err.count("\n") == 1
 
-    def test_bad_checkpoint_path(self, tmp_path):
-        with pytest.raises(FileNotFoundError):
-            main(["eval", "--data", "synth:simple", "--checkpoint",
-                  str(tmp_path / "missing.awn"), "--quiet"])
+    def test_bad_checkpoint_path(self, tmp_path, capsys):
+        code = main(["eval", "--data", "synth:simple", "--checkpoint",
+                     str(tmp_path / "missing.awn"), "--quiet"])
+        assert code == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.startswith("data error:") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("command", ["eval", "forecast", "impute", "superres"])
+    def test_channel_mismatch_is_data_error(self, trained, tmp_path, command,
+                                            capsys):
+        code = main([command, "--data", two_channel_csv(tmp_path),
+                     "--checkpoint", os.path.join(trained, "model.awn"),
+                     "--out", str(tmp_path / "o"), "--quiet"])
+        assert code == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.startswith("data error:") and err.count("\n") == 1
+        assert "channel" in err
+
+    def test_forecast_is_forward_of_last_test_window(self, trained, tmp_path):
+        ckpt = os.path.join(trained, "model.awn")
+        out = str(tmp_path / "fc")
+        assert main(["forecast", "--data", "synth:simple", "--checkpoint", ckpt,
+                     "--out", out, "--quiet"]) == EXIT_OK
+        model, (inp, _, _) = shared_path_batch(ckpt, "forecast", -1)
+        expected = model.forward(Tensor(inp)).data[0]
+        got = read_csv_cells(os.path.join(out, "forecast.csv"))
+        assert np.array_equal(got, as_cells(expected))
+
+    def test_superres_is_forward_of_first_test_window(self, trained, tmp_path):
+        ckpt = os.path.join(trained, "model.awn")
+        out = str(tmp_path / "sr")
+        assert main(["superres", "--data", "synth:simple", "--checkpoint", ckpt,
+                     "--out", out, "--ratio", "4", "--quiet"]) == EXIT_OK
+        model, (inp, _, _) = shared_path_batch(ckpt, "superres", 0, sr_ratio=4)
+        expected = model.forward(Tensor(inp)).data[0]
+        got = read_csv_cells(os.path.join(out, "superres.csv"))
+        assert np.array_equal(got, as_cells(expected))
+
+    @pytest.mark.parametrize("seed_args,mask_seed", [([], 3), (["--seed", "7"], 7)])
+    def test_impute_mask_is_the_one_eval_scores(self, tmp_path, small_config,
+                                                seed_args, mask_seed):
+        """Without --seed the mask seed is the checkpoint's (3 here), as in
+        eval; mask.csv is eval's mask for test window 0."""
+        ckpt = os.path.join(train_run(tmp_path, small_config, 3), "model.awn")
+        out = str(tmp_path / "imp")
+        assert main(["impute", "--data", "synth:simple", "--checkpoint", ckpt,
+                     "--out", out, "--quiet"] + seed_args) == EXIT_OK
+        config, arrays = load_checkpoint(ckpt)
+        model = restore_model(config, arrays)
+        dataset = resolve_dataset("synth:simple", seed=config.seed)
+        xs, ys = windows(dataset, "test", config.input_len, config.pred_len,
+                         "impute")
+        spec = MaskSpec(mode="random", ratio=0.25, seed=mask_seed)
+        _, _, loss_mask = next(_scored_batches(model, "impute", xs, ys, spec))
+        got = read_csv_cells(os.path.join(out, "mask.csv"))
+        assert np.array_equal(got, as_cells(1.0 - loss_mask[0]))
 
 
 class TestSynth:

@@ -4,8 +4,7 @@ from pytest import approx
 
 import adawavenet.tensor as T
 from adawavenet.lifting import (LiftingLevel, WaveletPyramid, analyze,
-                                lift_forward, lift_inverse_learned,
-                                lift_inverse_tied, split, synthesize)
+                                lift_forward, lift_inverse, split, synthesize)
 from adawavenet.tensor import Tensor, TensorError
 
 
@@ -95,13 +94,13 @@ class TestTiedInverse:
         x = rng.normal(size=(2, L))
         level = randomize(LiftingLevel(2, 5), rng)
         a, d, padded = lift_forward(Tensor(x), level)
-        back = lift_inverse_tied(a, d, level, padded)
+        back = lift_inverse(a, d, level, padded, "tied")
         assert np.abs(back.data - x).max() < 1e-10
 
     def test_zero_init_is_deinterleave(self, rng):
         a = rng.normal(size=(1, 4))
         d = rng.normal(size=(1, 4))
-        out = lift_inverse_tied(Tensor(a), Tensor(d), LiftingLevel(1, 3), padded=False)
+        out = lift_inverse(Tensor(a), Tensor(d), LiftingLevel(1, 3), False, "tied")
         assert out.data[:, 0::2] == approx(a)
         assert out.data[:, 1::2] == approx(d)
 
@@ -110,8 +109,8 @@ class TestLearnedInverse:
     def test_zero_init_is_interleave(self, rng):
         a = rng.normal(size=(2, 5))
         d = rng.normal(size=(2, 5))
-        out = lift_inverse_learned(Tensor(a), Tensor(d), LiftingLevel(2, 3),
-                                   padded=False)
+        out = lift_inverse(Tensor(a), Tensor(d), LiftingLevel(2, 3), False,
+                           "learned")
         assert out.data[:, 0::2] == approx(a)
         assert out.data[:, 1::2] == approx(d)
 
@@ -119,16 +118,17 @@ class TestLearnedInverse:
         a = rng.normal(size=(1, 6))
         d = rng.normal(size=(1, 6))
         level = LiftingLevel(1, 3)
-        assert lift_inverse_learned(Tensor(a), Tensor(d), level,
-                                    padded=False).shape == (1, 12)
-        assert lift_inverse_learned(Tensor(a), Tensor(d), level,
-                                    padded=True).shape == (1, 11)
+        for mode in ("tied", "learned"):
+            assert lift_inverse(Tensor(a), Tensor(d), level, False,
+                                mode).shape == (1, 12)
+            assert lift_inverse(Tensor(a), Tensor(d), level, True,
+                                mode).shape == (1, 11)
 
     def test_matches_scalar_oracle(self, rng):
         a = rng.normal(size=(1, 6))
         d = rng.normal(size=(1, 6))
         level = randomize(LiftingLevel(1, 3), rng)
-        out = lift_inverse_learned(Tensor(a), Tensor(d), level, padded=False)
+        out = lift_inverse(Tensor(a), Tensor(d), level, False, "learned")
 
         # literal transcription of the inverse update/predict equations,
         # using the adjoint correlation the transposed conv implements
@@ -202,6 +202,19 @@ class TestCascade:
             synthesize(WaveletPyramid(pyr.approx, pyr.details[:1], pyr.pad_flags[:1]),
                        levels)
 
+    def test_unknown_inverse_mode_rejected(self, rng):
+        levels = [LiftingLevel(1, 3)]
+        pyr = analyze(Tensor(rng.normal(size=(1, 16))), levels)
+        with pytest.raises(TensorError, match="inverse mode"):
+            synthesize(pyr, levels, mode="bogus")
+
+    def test_eq9_literal_ignored_in_tied_mode(self, rng):
+        level = randomize(LiftingLevel(1, 3), rng)
+        a, d, padded = lift_forward(Tensor(rng.normal(size=(1, 9))), level)
+        plain = lift_inverse(a, d, level, padded, "tied")
+        literal = lift_inverse(a, d, level, padded, "tied", eq9_literal=True)
+        assert np.array_equal(plain.data, literal.data)
+
     def test_gradients_reach_every_kernel(self, rng):
         levels = [LiftingLevel(2, 5) for _ in range(2)]
         x = Tensor(rng.normal(size=(2, 32)))
@@ -217,7 +230,7 @@ class TestCascade:
         level = LiftingLevel(1, 3)
         a = rng.normal(size=(1, 4))
         d = rng.normal(size=(1, 4))
-        plain = lift_inverse_learned(Tensor(a), Tensor(d), level, padded=False)
-        literal = lift_inverse_learned(Tensor(a), Tensor(d), level, padded=False,
-                                       eq9_literal=True)
+        plain = lift_inverse(Tensor(a), Tensor(d), level, False, "learned")
+        literal = lift_inverse(Tensor(a), Tensor(d), level, False, "learned",
+                               eq9_literal=True)
         assert literal.data[:, 0::2] == approx(plain.data[:, 0::2] - d)

@@ -3,7 +3,8 @@ import pytest
 from pytest import approx
 
 import adawavenet.tensor as T
-from adawavenet.config import ConfigError, ModelConfig, from_text, to_text
+from adawavenet.config import (ConfigError, ModelConfig, TrainConfig,
+                               from_text, to_text)
 from adawavenet.data import DataError, MaskSpec
 from adawavenet.grouped import ChannelClustering
 from adawavenet.model import (AdaWaveNet, RevIN, load_checkpoint, model_state,
@@ -104,6 +105,23 @@ class TestForward:
         with pytest.raises(ValueError):
             AdaWaveNet(small_config(n_clusters=2), channels=3)
 
+    @pytest.mark.parametrize("mode", ["learned", "tied"])
+    def test_forward_writes_no_state(self, rng, mode):
+        """A forward pass rebinds no attribute of the model or its modules
+        and leaves every parameter unchanged."""
+        model = AdaWaveNet(small_config(inverse_mode=mode), channels=2)
+        modules = [model, model.head, model.trend_head, model.revin, *model.levels]
+        before = [dict(vars(m)) for m in modules]
+        params = {k: p.data.copy() for k, p in model.parameters().items()}
+        model.forward(Tensor(rng.normal(size=(3, 2, 32))))
+        for module, snapshot in zip(modules, before):
+            now = vars(module)
+            assert now.keys() == snapshot.keys(), type(module).__name__
+            for key, value in snapshot.items():
+                assert now[key] is value, f"{type(module).__name__}.{key}"
+        for k, p in model.parameters().items():
+            assert np.array_equal(p.data, params[k]), k
+
     def test_forward_deterministic(self, rng):
         model = AdaWaveNet(small_config(), channels=2)
         x = rng.normal(size=(1, 2, 32))
@@ -124,6 +142,27 @@ class TestConfig:
     def test_too_many_levels_rejected(self):
         with pytest.raises(ConfigError):
             ModelConfig(levels=6, input_len=96, pred_len=96).validate()
+
+    @pytest.mark.parametrize("field", ["levels", "kernel_size", "n_clusters"])
+    def test_sizes_below_one_rejected(self, field):
+        with pytest.raises(ConfigError, match=field):
+            ModelConfig(**{field: 0}).validate()
+
+    @pytest.mark.parametrize("field", ["batch_size", "max_epochs", "patience"])
+    def test_train_sizes_below_one_rejected(self, field):
+        with pytest.raises(ConfigError, match=field):
+            TrainConfig(**{field: 0}).validate()
+
+    def test_negative_learning_rate_rejected(self):
+        TrainConfig(learning_rate=0.0).validate()
+        with pytest.raises(ConfigError):
+            TrainConfig(learning_rate=-1e-3).validate()
+
+    @pytest.mark.parametrize("text", ["kernel_size=3\nlevels=abc",
+                                      "kernel_size=3\nrevin=maybe"])
+    def test_unparsable_value_names_its_line(self, text):
+        with pytest.raises(ConfigError, match="line 2"):
+            from_text(ModelConfig, text)
 
     def test_final_len(self):
         assert ModelConfig(levels=4, input_len=96, pred_len=96).final_len == 6
