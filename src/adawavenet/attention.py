@@ -13,9 +13,6 @@ import numpy as np
 from . import tensor as T
 from .tensor import Tensor
 
-DEFAULT_D_MODEL = 128
-DEFAULT_HEADS = 4
-
 
 def _trunc_identity(rows, cols):
     m = np.zeros((rows, cols))
@@ -24,15 +21,14 @@ def _trunc_identity(rows, cols):
 
 
 class AttentionHead:
-    def __init__(self, seq_len: int, target_len: int, d_model: int = DEFAULT_D_MODEL,
-                 heads: int = DEFAULT_HEADS, rng: np.random.Generator | None = None):
+    def __init__(self, seq_len: int, target_len: int, d_model: int, heads: int,
+                 rng: np.random.Generator):
         if d_model % heads != 0:
             raise T.TensorError("d_model must be divisible by the head count")
         self.seq_len = seq_len
         self.target_len = target_len
         self.d_model = d_model
         self.heads = heads
-        rng = rng or np.random.default_rng(0)
 
         def rand(shape, scale):
             return Tensor(rng.normal(0.0, scale, shape), requires_grad=True)

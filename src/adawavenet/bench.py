@@ -50,9 +50,8 @@ def config_hash(model_cfg: ModelConfig, train_cfg: TrainConfig) -> str:
     return hashlib.sha256(text.encode()).hexdigest()[:12]
 
 
-def synth_dataset(family: str, seed: int = 0, **kwargs) -> Dataset:
-    spec = SynthSpec(family=family, seed=seed, **kwargs)
-    signal = generate(spec)
+def synth_dataset(family: str, seed: int) -> Dataset:
+    signal = generate(SynthSpec(family=family, seed=seed))
     return build_dataset([family], signal, SYNTH_FRACTIONS)
 
 
@@ -66,46 +65,42 @@ def resolve_dataset(name: str, seed: int = 0) -> Dataset:
 
 # -- per-task evaluation -----------------------------------------------------
 
-def _evaluate(model: AdaWaveNet, dataset: Dataset, split: str, task: str,
+def _evaluate(model: AdaWaveNet, dataset: Dataset, task: str,
               mask_spec: MaskSpec | None = None, sr_ratio: int = 1):
-    """(MSE, MAE) over every window of a split; masked for imputation."""
+    """(MSE, MAE) over every test window; masked for imputation."""
     cfg = model.config
-    xs, ys = windows(dataset, split, cfg.input_len, cfg.pred_len, task)
+    xs, ys = windows(dataset, "test", cfg.input_len, cfg.pred_len, task)
     preds, tgts, masks = zip(*_scored_batches(model, task, xs, ys, mask_spec,
                                               sr_ratio))
     mask = None if masks[0] is None else np.concatenate(masks)
     return metrics(np.concatenate(preds), np.concatenate(tgts), mask=mask)
 
 
-def evaluate_forecast(model: AdaWaveNet, dataset: Dataset, split: str = "test"):
-    return _evaluate(model, dataset, split, "forecast")
+def evaluate_forecast(model: AdaWaveNet, dataset: Dataset):
+    return _evaluate(model, dataset, "forecast")
 
 
-def evaluate_impute(model: AdaWaveNet, dataset: Dataset, mask_spec: MaskSpec,
-                    split: str = "test"):
-    return _evaluate(model, dataset, split, "impute", mask_spec=mask_spec)
+def evaluate_impute(model: AdaWaveNet, dataset: Dataset, mask_spec: MaskSpec):
+    return _evaluate(model, dataset, "impute", mask_spec=mask_spec)
 
 
-def evaluate_superres(model: AdaWaveNet, dataset: Dataset, ratio: int,
-                      split: str = "test"):
-    return _evaluate(model, dataset, split, "superres", sr_ratio=ratio)
+def evaluate_superres(model: AdaWaveNet, dataset: Dataset, ratio: int):
+    return _evaluate(model, dataset, "superres", sr_ratio=ratio)
 
 
 def evaluate_task(model: AdaWaveNet, dataset: Dataset,
-                  mask_spec: MaskSpec | None = None, split: str = "test"):
+                  mask_spec: MaskSpec | None = None):
     """(MSE, MAE) of the model on the task it was configured for; mask_spec
     is used only by imputation."""
     cfg = model.config
-    return _evaluate(model, dataset, split, cfg.task, mask_spec, cfg.sr_ratio)
+    return _evaluate(model, dataset, cfg.task, mask_spec, cfg.sr_ratio)
 
 
 # -- synthetic case study ----------------------------------------------------
 
 def case_study(family: str = "simple", seed: int = 0,
-               model_cfg: ModelConfig | None = None,
-               train_cfg: TrainConfig | None = None,
                variance_shift: float = 0.0, step_change: float = 0.0,
-               with_baselines: bool = True, verbose: bool = False):
+               verbose: bool = False):
     """Train on the first half of a synthetic signal and score forecasts on
     the test half against the denoised reference.
 
@@ -117,10 +112,9 @@ def case_study(family: str = "simple", seed: int = 0,
     noisy = generate(spec)
     clean = denoised_target(spec)
     dataset = build_dataset([family], noisy, SYNTH_FRACTIONS)
-    model_cfg = model_cfg or ModelConfig(levels=4, kernel_size=7, n_clusters=1,
-                                         input_len=96, pred_len=96, seed=seed)
-    train_cfg = train_cfg or TrainConfig(learning_rate=5e-3, max_epochs=200,
-                                         patience=15, seed=seed)
+    model_cfg = ModelConfig(seed=seed)
+    train_cfg = TrainConfig(learning_rate=5e-3, max_epochs=200, patience=15,
+                            seed=seed)
     model = build_model(dataset, model_cfg)
     train(model, dataset, train_cfg, verbose=verbose)
 
@@ -133,12 +127,11 @@ def case_study(family: str = "simple", seed: int = 0,
                                                              xs, ys)])
     result = {"model": metrics(preds, ys), "dataset": dataset,
               "trained": model, "inputs": xs, "targets": ys, "preds": preds}
-    if with_baselines:
-        result["persistence"] = metrics(baseline_persistence(xs, Lp), ys)
-        lin = LinearBaseline(L, Lp).fit(dataset, TrainConfig(
-            learning_rate=train_cfg.learning_rate,
-            max_epochs=train_cfg.max_epochs, seed=seed))
-        result["linear"] = metrics(lin.predict(xs), ys)
+    result["persistence"] = metrics(baseline_persistence(xs, Lp), ys)
+    lin = LinearBaseline(L, Lp).fit(dataset, TrainConfig(
+        learning_rate=train_cfg.learning_rate,
+        max_epochs=train_cfg.max_epochs, seed=seed))
+    result["linear"] = metrics(lin.predict(xs), ys)
     return result
 
 
@@ -149,25 +142,23 @@ _CELL_TRAIN_KEYS = {f.name for f in fields(TrainConfig)}
 
 
 def run_cell(cell: dict, seed: int, verbose: bool = False) -> RunResult:
-    task = cell.get("task", "forecast")
+    """Train and test one manifest cell; its ModelConfig and TrainConfig keys
+    are read as they are, and the run's seed overrides any ``seed`` key."""
     name = cell["dataset"]
     dataset = resolve_dataset(name, seed=seed)
     model_kwargs = {k: v for k, v in cell.items() if k in _CELL_MODEL_KEYS}
     train_kwargs = {k: v for k, v in cell.items() if k in _CELL_TRAIN_KEYS}
-    model_cfg = ModelConfig(task=task, seed=seed, **model_kwargs).validate()
-    train_cfg = TrainConfig(seed=seed, **train_kwargs).validate()
+    model_cfg = ModelConfig(**{**model_kwargs, "seed": seed}).validate()
+    train_cfg = TrainConfig(**{**train_kwargs, "seed": seed}).validate()
+    task = model_cfg.task
     mask_spec = None
-    setting = f"L={model_cfg.input_len}"
     if task == "impute":
         mask_spec = MaskSpec(mode=cell.get("mask_mode", "random"),
                              ratio=cell.get("mask_ratio", 0.25), seed=seed)
-        model_cfg.revin = cell.get("revin", False)
         setting = f"mask={mask_spec.ratio}:{mask_spec.mode}"
     elif task == "superres":
-        model_cfg.sr_ratio = cell.get("sr_ratio", 2)
-        model_cfg.revin = cell.get("revin", False)
         setting = f"r={model_cfg.sr_ratio}"
-    elif task == "forecast":
+    else:
         setting = f"Lp={model_cfg.pred_len}"
     t0 = time.time()
     model = build_model(dataset, model_cfg)
@@ -251,10 +242,9 @@ def load_manifest(path: str) -> dict:
 
 
 def showcase_plot(path: str, history: np.ndarray, truth: np.ndarray,
-                  pred: np.ndarray, title: str = "",
-                  masked: tuple[int, int] | None = None):
+                  pred: np.ndarray, title: str = ""):
     """Input/ground-truth/prediction line chart for one channel."""
     series = {"input": np.concatenate([history, np.full(len(truth), history[-1])]),
               "ground truth": np.concatenate([history, truth]),
               "prediction": np.concatenate([history, pred])}
-    save_chart(path, series, title=title, shade=masked)
+    save_chart(path, series, title=title)

@@ -47,12 +47,6 @@ def _write_csv(path, names, values):
             writer.writerow([f"{v:.10g}" for v in row])
 
 
-def _load_configs(path):
-    if path is None:
-        return ModelConfig().validate(), TrainConfig().validate()
-    return load_mixed_config(path)
-
-
 def _load_model(args):
     """The checkpoint's model and the --data dataset (synthetic data is
     generated with the checkpoint seed); the data must have the model's
@@ -69,9 +63,16 @@ def _load_model(args):
 
 def _mask_spec(args, model):
     """Imputation masks as `eval` scores them; --seed defaults to the
-    checkpoint seed."""
+    model's seed."""
     seed = model.config.seed if args.seed is None else args.seed
     return MaskSpec(mode=args.mask_mode, ratio=args.mask_ratio, seed=seed)
+
+
+def _channel(args, model):
+    """--channel, checked against the model before any file is written."""
+    if not 0 <= args.channel < model.channels:
+        raise UsageError(f"--channel {args.channel} outside [0, {model.channels})")
+    return args.channel
 
 
 def _test_window(model, dataset, task, index, mask_spec=None, sr_ratio=1):
@@ -86,17 +87,15 @@ def _test_window(model, dataset, task, index, mask_spec=None, sr_ratio=1):
 
 
 def cmd_train(args):
-    model_cfg, train_cfg = _load_configs(args.config)
+    if args.config is None:
+        model_cfg, train_cfg = ModelConfig(), TrainConfig()
+    else:
+        model_cfg, train_cfg = load_mixed_config(args.config)
     if args.seed is not None:
         model_cfg.seed = train_cfg.seed = args.seed
-    if args.eq9_literal:
-        model_cfg.eq9_literal = True
     dataset = B.resolve_dataset(args.data, seed=model_cfg.seed)
-    mask_spec = None
-    if model_cfg.task == "impute":
-        mask_spec = MaskSpec(mode=args.mask_mode, ratio=args.mask_ratio,
-                             seed=train_cfg.seed)
     model = build_model(dataset, model_cfg)
+    mask_spec = _mask_spec(args, model) if model_cfg.task == "impute" else None
     os.makedirs(args.out, exist_ok=True)
     log_path = os.path.join(args.out, "training_log.csv")
     history, best_val = train(model, dataset, train_cfg, mask_spec=mask_spec,
@@ -124,18 +123,19 @@ def cmd_eval(args):
 
 def cmd_forecast(args):
     model, dataset = _load_model(args)
+    ch = _channel(args, model)
     x, truth, _, pred = _test_window(model, dataset, "forecast", -1)
     os.makedirs(args.out, exist_ok=True)
     _write_csv(os.path.join(args.out, "forecast.csv"), dataset.channel_names, pred)
-    B.showcase_plot(os.path.join(args.out, "forecast.svg"), x[args.channel],
-                    truth[args.channel], pred[args.channel],
-                    title=f"forecast (channel {args.channel})")
+    B.showcase_plot(os.path.join(args.out, "forecast.svg"), x[ch], truth[ch],
+                    pred[ch], title=f"forecast (channel {ch})")
     print(f"wrote forecast.csv and forecast.svg to {args.out}")
     return EXIT_OK
 
 
 def cmd_impute(args):
     model, dataset = _load_model(args)
+    ch = _channel(args, model)
     spec = _mask_spec(args, model)
     _, x, loss_mask, pred = _test_window(model, dataset, "impute", 0, mask_spec=spec)
     mask = 1.0 - loss_mask
@@ -143,7 +143,6 @@ def cmd_impute(args):
     os.makedirs(args.out, exist_ok=True)
     _write_csv(os.path.join(args.out, "imputed.csv"), dataset.channel_names, filled)
     _write_csv(os.path.join(args.out, "mask.csv"), dataset.channel_names, mask)
-    ch = args.channel
     shade = None
     if spec.mode == "extended":
         gaps = np.where(mask[ch] == 0)[0]
@@ -158,11 +157,11 @@ def cmd_impute(args):
 
 def cmd_superres(args):
     model, dataset = _load_model(args)
+    ch = _channel(args, model)
     low_res, x, _, pred = _test_window(model, dataset, "superres", 0,
                                        sr_ratio=args.ratio)
     os.makedirs(args.out, exist_ok=True)
     _write_csv(os.path.join(args.out, "superres.csv"), dataset.channel_names, pred)
-    ch = args.channel
     svgplot.save_chart(os.path.join(args.out, "superres.svg"),
                        {"ground truth": x[ch], "low-res input": low_res[ch],
                         "prediction": pred[ch]},
@@ -173,7 +172,7 @@ def cmd_superres(args):
 
 def cmd_synth(args):
     spec = SynthSpec(family=args.family, variance_shift=args.variance_shift,
-                     step_change=args.step_change, seed=args.seed or 0,
+                     step_change=args.step_change, seed=args.seed,
                      n_points=args.n_points)
     signal = generate(spec)
     clean = denoised_target(spec)
@@ -195,8 +194,10 @@ def cmd_decompose(args):
     if args.wavelet:
         check_depth(values.shape[1], args.levels)
         approx = parts.seasonal
+        # an untrained level has zero kernels whatever their size: the
+        # lifting steps vanish and each level is a plain polyphase split
+        level = LiftingLevel(values.shape[0], 1)
         for i in range(1, args.levels + 1):
-            level = LiftingLevel(values.shape[0], args.kernel_size)
             approx, detail, _ = lift_forward(approx, level)
             for name, band in ((f"coeffs_level{i}.csv", detail),
                                (f"approx_level{i}.csv", approx)):
@@ -209,8 +210,7 @@ def cmd_decompose(args):
 def cmd_bench(args):
     manifest = B.load_manifest(args.manifest)
     results, skipped = B.run_benchmark(manifest, args.out, verbose=not args.quiet)
-    for line in open(os.path.join(args.out, "report.md")):
-        print(line, end="")
+    print(B.format_report(results, skipped), end="")
     if skipped:
         print(f"{len(skipped)} cell(s) skipped", file=sys.stderr)
         return EXIT_DATA
@@ -221,73 +221,60 @@ def build_parser():
     parser = _Parser(prog="adawave",
                      description="Adaptive wavelet network for time series")
     sub = parser.add_subparsers(dest="command", required=True)
+    # flags shared by several subcommands, each declared once
+    shared = {
+        "--data": dict(required=True, help="CSV path or synth:<family>"),
+        "--checkpoint": dict(required=True),
+        "--seed": dict(type=int, default=None),
+        "--out": dict(default="out"),
+        "--quiet": dict(action="store_true"),
+        "--mask-mode": dict(default="random", choices=["random", "extended"]),
+        "--mask-ratio": dict(type=float, default=0.25),
+        "--channel": dict(type=int, default=0),
+    }
 
-    def common(p, data=True, checkpoint=False):
-        if data:
-            p.add_argument("--data", required=True,
-                           help="CSV path or synth:<family>")
-        if checkpoint:
-            p.add_argument("--checkpoint", required=True)
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--out", default="out")
-        p.add_argument("--quiet", action="store_true")
+    def command(name, func, summary, *flags):
+        """A subcommand declaring the shared flags its function reads."""
+        p = sub.add_parser(name, help=summary)
+        for flag in flags:
+            p.add_argument(flag, **shared[flag])
+        p.set_defaults(func=func)
+        return p
 
-    p = sub.add_parser("train", help="train a model")
-    common(p)
+    p = command("train", cmd_train, "train a model", "--data", "--seed",
+                "--out", "--quiet", "--mask-mode", "--mask-ratio")
     p.add_argument("--config", help="key=value config file")
     p.add_argument("--checkpoint", help="checkpoint output path")
-    p.add_argument("--mask-mode", default="random", choices=["random", "extended"])
-    p.add_argument("--mask-ratio", type=float, default=0.25)
-    p.add_argument("--eq9-literal", action="store_true")
-    p.set_defaults(func=cmd_train)
-
-    p = sub.add_parser("eval", help="evaluate a checkpoint on the test split")
-    common(p, checkpoint=True)
-    p.add_argument("--mask-mode", default="random", choices=["random", "extended"])
-    p.add_argument("--mask-ratio", type=float, default=0.25)
-    p.set_defaults(func=cmd_eval)
-
-    p = sub.add_parser("forecast", help="forecast the final test window")
-    common(p, checkpoint=True)
-    p.add_argument("--channel", type=int, default=0)
-    p.set_defaults(func=cmd_forecast)
-
-    p = sub.add_parser("impute", help="impute a masked test window")
-    common(p, checkpoint=True)
-    p.add_argument("--mask-mode", default="random", choices=["random", "extended"])
-    p.add_argument("--mask-ratio", type=float, default=0.25)
-    p.add_argument("--channel", type=int, default=0)
-    p.set_defaults(func=cmd_impute)
-
-    p = sub.add_parser("superres", help="reconstruct from a downsampled window")
-    common(p, checkpoint=True)
+    command("eval", cmd_eval, "evaluate a checkpoint on the test split",
+            "--data", "--checkpoint", "--seed", "--mask-mode", "--mask-ratio")
+    command("forecast", cmd_forecast, "forecast the final test window",
+            "--data", "--checkpoint", "--out", "--channel")
+    command("impute", cmd_impute, "impute a masked test window", "--data",
+            "--checkpoint", "--seed", "--out", "--mask-mode", "--mask-ratio",
+            "--channel")
+    p = command("superres", cmd_superres, "reconstruct from a downsampled window",
+                "--data", "--checkpoint", "--out", "--channel")
     p.add_argument("--ratio", type=int, default=2)
-    p.add_argument("--channel", type=int, default=0)
-    p.set_defaults(func=cmd_superres)
 
-    p = sub.add_parser("synth", help="generate a synthetic signal")
-    common(p, data=False)
-    p.add_argument("--family", default="simple",
+    signal = SynthSpec()
+    p = command("synth", cmd_synth, "generate a synthetic signal", "--out")
+    p.add_argument("--seed", type=int, default=signal.seed)
+    p.add_argument("--family", default=signal.family,
                    choices=["simple", "traffic", "electricity"])
-    p.add_argument("--variance-shift", type=float, default=0.0)
-    p.add_argument("--step-change", type=float, default=0.0)
-    p.add_argument("--n-points", type=int, default=1024)
-    p.set_defaults(func=cmd_synth)
+    p.add_argument("--variance-shift", type=float, default=signal.variance_shift)
+    p.add_argument("--step-change", type=float, default=signal.step_change)
+    p.add_argument("--n-points", type=int, default=signal.n_points)
 
-    p = sub.add_parser("decompose", help="seasonal/trend split of a CSV window")
-    common(p)
-    p.add_argument("--ma-window", type=int, default=25)
+    model = ModelConfig()
+    p = command("decompose", cmd_decompose, "seasonal/trend split of a CSV window",
+                "--data", "--out")
+    p.add_argument("--ma-window", type=int, default=model.ma_window)
     p.add_argument("--wavelet", action="store_true",
                    help="also dump per-level approximations and coefficients")
-    p.add_argument("--levels", type=int, default=4)
-    p.add_argument("--kernel-size", type=int, default=7)
-    p.set_defaults(func=cmd_decompose)
+    p.add_argument("--levels", type=int, default=model.levels)
 
-    p = sub.add_parser("bench", help="run a benchmark manifest")
-    common(p, data=False)
+    p = command("bench", cmd_bench, "run a benchmark manifest", "--out", "--quiet")
     p.add_argument("--manifest", required=True)
-    p.set_defaults(func=cmd_bench)
-
     return parser
 
 

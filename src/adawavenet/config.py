@@ -3,6 +3,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields
 
+from .lifting import MIN_FINAL_LENGTH, final_length
+
 TASKS = ("forecast", "impute", "superres")
 INVERSE_MODES = ("tied", "learned")
 
@@ -42,7 +44,7 @@ class ModelConfig:
                 "and synthesis coefficient lengths)")
         if self.ma_window % 2 == 0 or self.ma_window < 1:
             raise ConfigError("ma_window must be odd and >= 1")
-        if self.final_len < 4:
+        if self.final_len < MIN_FINAL_LENGTH:
             raise ConfigError(
                 f"input_len {self.input_len} too short for {self.levels} levels")
         if not 1 <= self.heads <= self.d_model or self.d_model % self.heads != 0:
@@ -51,10 +53,7 @@ class ModelConfig:
 
     @property
     def final_len(self) -> int:
-        n = self.input_len
-        for _ in range(self.levels):
-            n = (n + 1) // 2
-        return n
+        return final_length(self.input_len, self.levels)
 
 
 @dataclass
@@ -117,15 +116,19 @@ def load_mixed_config(path: str):
     model_keys = {f.name for f in fields(ModelConfig)}
     train_keys = {f.name for f in fields(TrainConfig)}
     model_lines, train_lines = [], []
-    with open(path) as fh:
-        for line in fh:
-            stripped = line.split("#", 1)[0].strip()
-            key = stripped.split("=", 1)[0].strip() if "=" in stripped else None
-            if key is not None and key not in model_keys | train_keys:
-                raise ConfigError(f"unknown config key {key!r}")
-            # blank lines stand in for the other class's keys, so from_text
-            # reports line numbers of the file
-            model_lines.append(stripped if key in model_keys else "")
-            train_lines.append(stripped if key in train_keys else "")
+    try:
+        with open(path) as fh:
+            lines = fh.read().splitlines()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read config {path}: {exc}") from exc
+    for line in lines:
+        stripped = line.split("#", 1)[0].strip()
+        key = stripped.split("=", 1)[0].strip() if "=" in stripped else None
+        if key is not None and key not in model_keys | train_keys:
+            raise ConfigError(f"unknown config key {key!r}")
+        # blank lines stand in for the other class's keys, so from_text
+        # reports line numbers of the file
+        model_lines.append(stripped if key in model_keys else "")
+        train_lines.append(stripped if key in train_keys else "")
     return (from_text(ModelConfig, "\n".join(model_lines)),
             from_text(TrainConfig, "\n".join(train_lines)))

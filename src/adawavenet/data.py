@@ -40,16 +40,15 @@ def load_csv(path: str, split_fractions=(0.7, 0.1, 0.2)) -> Dataset:
     Normalization statistics come from the train split only.
     """
     try:
-        fh = open(path, newline="")
+        with open(path, newline="", encoding="utf-8") as fh:
+            rows = list(csv.reader(fh))
     except OSError as exc:
         raise DataError(f"cannot open {path}: {exc}") from exc
-    with fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DataError(f"{path}: empty file") from None
-        rows = list(reader)
+    except (UnicodeDecodeError, csv.Error) as exc:
+        raise DataError(f"{path}: not a UTF-8 CSV file: {exc}") from exc
+    if not rows:
+        raise DataError(f"{path}: empty file")
+    header, rows = rows[0], rows[1:]
     if not rows:
         raise DataError(f"{path}: no data rows")
     width = len(header)
@@ -75,7 +74,7 @@ def load_csv(path: str, split_fractions=(0.7, 0.1, 0.2)) -> Dataset:
     return build_dataset(names, data, split_fractions)
 
 
-def build_dataset(names, data: np.ndarray, split_fractions=(0.7, 0.1, 0.2)) -> Dataset:
+def build_dataset(names, data: np.ndarray, split_fractions) -> Dataset:
     if abs(sum(split_fractions) - 1.0) > 1e-9:
         raise DataError("split fractions must sum to 1")
     total = data.shape[1]
@@ -138,6 +137,8 @@ def make_mask(spec: MaskSpec, shape: tuple[int, int],
     spec.validate()
     C, L = shape
     n_masked = int(round(spec.ratio * L))
+    if n_masked == 0:
+        raise DataError(f"ratio {spec.ratio} conceals no sample of L={L}")
     if abs(n_masked / L - spec.ratio) > 1.0 / L:
         raise DataError(f"ratio {spec.ratio} not realizable for L={L}")
     rng = rng or np.random.default_rng(spec.seed)

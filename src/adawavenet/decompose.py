@@ -11,8 +11,6 @@ from dataclasses import dataclass
 from . import tensor as T
 from .tensor import Tensor
 
-DEFAULT_MA_WINDOW = 25
-
 
 @dataclass
 class DecomposedSeries:
@@ -20,7 +18,7 @@ class DecomposedSeries:
     trend: Tensor
 
 
-def decompose(x: Tensor, ma_window: int = DEFAULT_MA_WINDOW) -> DecomposedSeries:
+def decompose(x: Tensor, ma_window: int) -> DecomposedSeries:
     """Split x into (seasonal, trend); moving_average rejects an even or
     non-positive window."""
     trend = T.moving_average(x, ma_window)

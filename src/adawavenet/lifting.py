@@ -115,14 +115,18 @@ def lift_inverse(approx: Tensor, detail: Tensor, level: LiftingLevel,
     return x
 
 
+def final_length(length: int, n_levels: int) -> int:
+    """Length of the approximation after n_levels >= 0 lifting levels, each of
+    which pads an odd length by one sample: ceil(length / 2**n_levels)."""
+    return ((length - 1) >> n_levels) + 1
+
+
 def check_depth(length: int, n_levels: int):
     """Raise TensorError unless 1 <= n_levels and n_levels halvings of a
     length-``length`` sequence leave at least MIN_FINAL_LENGTH samples."""
     if n_levels < 1:
         raise T.TensorError("at least one level required")
-    final_len = length
-    for _ in range(n_levels):
-        final_len = (final_len + 1) // 2
+    final_len = final_length(length, n_levels)
     if final_len < MIN_FINAL_LENGTH:
         raise T.TensorError(
             f"too many levels: final length {final_len} < {MIN_FINAL_LENGTH}")

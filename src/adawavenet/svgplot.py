@@ -4,17 +4,17 @@ from __future__ import annotations
 import numpy as np
 
 PALETTE = ("#1f77b4", "#ff7f0e", "#2ca02c", "#d62728", "#9467bd", "#8c564b")
+WIDTH, HEIGHT = 720, 280
 
 
 def line_chart(series: dict[str, np.ndarray], title: str = "",
-               width: int = 720, height: int = 280,
                shade: tuple[int, int] | None = None) -> str:
     """Render named 1-D series as an SVG document string.
 
     ``shade`` marks an index interval (e.g. a masked region) with a grey band.
     """
     margin = 40
-    pw, ph = width - 2 * margin, height - 2 * margin
+    pw, ph = WIDTH - 2 * margin, HEIGHT - 2 * margin
     all_vals = np.concatenate([np.asarray(v, dtype=float) for v in series.values()])
     lo, hi = float(all_vals.min()), float(all_vals.max())
     if hi - lo < 1e-12:
@@ -27,8 +27,8 @@ def line_chart(series: dict[str, np.ndarray], title: str = "",
     def sy(v):
         return margin + ph * (1.0 - (v - lo) / (hi - lo))
 
-    parts = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}">',
-             f'<rect width="{width}" height="{height}" fill="white"/>']
+    parts = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH}" height="{HEIGHT}">',
+             f'<rect width="{WIDTH}" height="{HEIGHT}" fill="white"/>']
     if shade is not None:
         x0, x1 = sx(shade[0]), sx(shade[1])
         parts.append(f'<rect x="{x0:.1f}" y="{margin}" width="{x1 - x0:.1f}" '
@@ -36,7 +36,7 @@ def line_chart(series: dict[str, np.ndarray], title: str = "",
     parts.append(f'<rect x="{margin}" y="{margin}" width="{pw}" height="{ph}" '
                  'fill="none" stroke="#333" stroke-width="1"/>')
     if title:
-        parts.append(f'<text x="{width / 2:.0f}" y="20" text-anchor="middle" '
+        parts.append(f'<text x="{WIDTH / 2:.0f}" y="20" text-anchor="middle" '
                      f'font-family="sans-serif" font-size="14">{title}</text>')
     for idx, (name, vals) in enumerate(series.items()):
         color = PALETTE[idx % len(PALETTE)]

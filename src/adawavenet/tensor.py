@@ -177,21 +177,17 @@ def mean(a, axis=None, keepdims=False):
     return _make(y, (a,), backward)
 
 
-def tsum(a, axis=None, keepdims=False):
-    y = a.data.sum(axis=axis, keepdims=keepdims)
-
+def tsum(a):
+    """Sum of every element, as a scalar."""
     def backward(g):
-        g = np.asarray(g)
-        if not keepdims and axis is not None:
-            g = np.expand_dims(g, axis)
         return (np.broadcast_to(g, a.shape).copy(),)
 
-    return _make(y, (a,), backward)
+    return _make(a.data.sum(), (a,), backward)
 
 
 def mse(pred, target, mask=None):
     """Mean squared error; with a binary mask the average runs over mask==1
-    positions only (all positions if the mask is empty)."""
+    positions only, and an empty mask is an error."""
     if pred.shape != target.shape:
         raise TensorError(f"mse shape mismatch {pred.shape} vs {target.shape}")
     diff = pred.data - target.data
@@ -201,8 +197,7 @@ def mse(pred, target, mask=None):
             raise TensorError("mse mask must be binary")
         denom = m.sum()
         if denom == 0:
-            m = np.ones_like(diff)
-            denom = m.size
+            raise TensorError("mse mask is empty")
     else:
         m = np.ones_like(diff)
         denom = m.size

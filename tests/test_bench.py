@@ -9,7 +9,8 @@ from adawavenet.baselines import LinearBaseline, baseline_persistence
 from adawavenet.bench import (SYNTH_FRACTIONS, RunResult, aggregate,
                               config_hash, evaluate_forecast, evaluate_impute,
                               evaluate_superres, format_report, load_manifest,
-                              resolve_dataset, run_benchmark, synth_dataset)
+                              resolve_dataset, run_benchmark, run_cell,
+                              synth_dataset)
 from adawavenet.config import ModelConfig, TrainConfig
 from adawavenet.data import (DataError, MaskSpec, build_dataset, downsample,
                              make_mask, windows)
@@ -171,6 +172,18 @@ class TestReportAndManifest:
         assert np.isfinite(results[0].mse)
         lines = (tmp_path / "out" / "results.csv").read_text().splitlines()
         assert len(lines) == 2
+
+    @pytest.mark.parametrize("task,setting", [("impute", "mask=0.25:random"),
+                                              ("superres", "r=1")])
+    def test_cell_keys_are_read_as_given(self, task, setting):
+        """The cell's config is its own keys plus the seed: no task decides
+        revin or sr_ratio again."""
+        sizes = {"levels": 2, "kernel_size": 3, "input_len": 48, "pred_len": 48}
+        result = run_cell({"dataset": "synth:simple", "task": task,
+                           "max_epochs": 1, **sizes}, seed=3)
+        assert result.setting == setting
+        assert result.config_hash == config_hash(
+            ModelConfig(task=task, seed=3, **sizes), TrainConfig(max_epochs=1, seed=3))
 
 
 # -- reference evaluators ----------------------------------------------------

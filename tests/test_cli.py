@@ -1,13 +1,17 @@
+import argparse
+import ast
 import csv
+import inspect
 import json
 import os
 
 import numpy as np
 import pytest
 
+from adawavenet import cli
 from adawavenet.bench import resolve_dataset
 from adawavenet.cli import (EXIT_DATA, EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE,
-                            main)
+                            build_parser, main)
 from adawavenet.data import MaskSpec, windows
 from adawavenet.model import load_checkpoint, restore_model
 from adawavenet.tensor import Tensor
@@ -45,6 +49,11 @@ def train_run(tmp_path, config, seed):
 @pytest.fixture
 def trained(tmp_path, small_config):
     return train_run(tmp_path, small_config, 0)
+
+
+def one_line_error(capsys, prefix):
+    err = capsys.readouterr().err
+    return err.startswith(prefix) and err.count("\n") == 1
 
 
 def read_csv_cells(path):
@@ -125,6 +134,30 @@ class TestTrain:
         err = capsys.readouterr().err
         assert err.startswith("data error:") and err.count("\n") == 1
 
+    def test_missing_config_is_usage_error(self, tmp_path, capsys):
+        code = main(["train", "--data", "synth:simple", "--config",
+                     str(tmp_path / "missing.txt"), "--out", str(tmp_path / "o")])
+        assert code == EXIT_USAGE
+        assert one_line_error(capsys, "usage error:")
+
+    def test_non_utf8_csv_is_data_error(self, tmp_path, small_config, capsys):
+        path = tmp_path / "bad.csv"
+        path.write_bytes(b"x\n" + b"1.0\n" * 200 + b"\xff\n" + b"2.0\n" * 200)
+        code = main(["train", "--data", str(path), "--config", small_config,
+                     "--out", str(tmp_path / "o"), "--quiet"])
+        assert code == EXIT_DATA
+        assert one_line_error(capsys, "data error:")
+
+    def test_mask_concealing_nothing_is_data_error(self, tmp_path, capsys):
+        """round(0.01 * 48) = 0: no sample would be concealed."""
+        cfg = tmp_path / "impute.txt"
+        cfg.write_text(SMALL + "task=impute\n")
+        code = main(["train", "--data", "synth:simple", "--config", str(cfg),
+                     "--out", str(tmp_path / "o"), "--quiet",
+                     "--mask-ratio", "0.01"])
+        assert code == EXIT_DATA
+        assert one_line_error(capsys, "data error:")
+
     def test_missing_subcommand_is_usage_error(self):
         assert main([]) == EXIT_USAGE
 
@@ -135,7 +168,7 @@ class TestTrain:
 class TestEvalAndShowcase:
     def test_eval(self, trained, capsys):
         code = main(["eval", "--data", "synth:simple", "--checkpoint",
-                     os.path.join(trained, "model.awn"), "--quiet"])
+                     os.path.join(trained, "model.awn")])
         assert code == EXIT_OK
         out = capsys.readouterr().out
         assert "MSE=" in out and "MAE=" in out
@@ -143,7 +176,7 @@ class TestEvalAndShowcase:
     def test_forecast_artifacts(self, trained, tmp_path):
         out = str(tmp_path / "fc")
         code = main(["forecast", "--data", "synth:simple", "--checkpoint",
-                     os.path.join(trained, "model.awn"), "--out", out, "--quiet"])
+                     os.path.join(trained, "model.awn"), "--out", out])
         assert code == EXIT_OK
         assert os.path.exists(os.path.join(out, "forecast.csv"))
         svg = open(os.path.join(out, "forecast.svg")).read()
@@ -153,8 +186,7 @@ class TestEvalAndShowcase:
         out = str(tmp_path / "imp")
         code = main(["impute", "--data", "synth:simple", "--checkpoint",
                      os.path.join(trained, "model.awn"), "--out", out,
-                     "--mask-mode", "extended", "--mask-ratio", "0.25",
-                     "--quiet"])
+                     "--mask-mode", "extended", "--mask-ratio", "0.25"])
         assert code == EXIT_OK
         for name in ("imputed.csv", "mask.csv", "imputed.svg"):
             assert os.path.exists(os.path.join(out, name)), name
@@ -167,7 +199,7 @@ class TestEvalAndShowcase:
         out = str(tmp_path / "sr")
         code = main(["superres", "--data", "synth:simple", "--checkpoint",
                      os.path.join(trained, "model.awn"), "--out", out,
-                     "--ratio", "4", "--quiet"])
+                     "--ratio", "4"])
         assert code == EXIT_OK
         assert os.path.exists(os.path.join(out, "superres.csv"))
         assert os.path.exists(os.path.join(out, "superres.svg"))
@@ -176,25 +208,48 @@ class TestEvalAndShowcase:
         blob = open(os.path.join(trained, "model.awn"), "rb").read()
         cut = tmp_path / "cut.awn"
         cut.write_bytes(blob[:len(blob) // 2])
-        code = main(["eval", "--data", "synth:simple", "--checkpoint", str(cut),
-                     "--quiet"])
+        code = main(["eval", "--data", "synth:simple", "--checkpoint", str(cut)])
         assert code == EXIT_DATA
         err = capsys.readouterr().err
         assert err.startswith("data error:") and err.count("\n") == 1
 
     def test_bad_checkpoint_path(self, tmp_path, capsys):
         code = main(["eval", "--data", "synth:simple", "--checkpoint",
-                     str(tmp_path / "missing.awn"), "--quiet"])
+                     str(tmp_path / "missing.awn")])
         assert code == EXIT_DATA
         err = capsys.readouterr().err
         assert err.startswith("data error:") and err.count("\n") == 1
 
+    def test_eval_mask_concealing_nothing_is_data_error(self, tmp_path, capsys):
+        cfg = tmp_path / "impute.txt"
+        cfg.write_text(SMALL + "task=impute\n")
+        assert main(["train", "--data", "synth:simple", "--config", str(cfg),
+                     "--out", str(tmp_path / "run"), "--quiet"]) == EXIT_OK
+        capsys.readouterr()
+        code = main(["eval", "--data", "synth:simple", "--checkpoint",
+                     str(tmp_path / "run" / "model.awn"), "--mask-ratio", "0.01"])
+        assert code == EXIT_DATA
+        assert one_line_error(capsys, "data error:")
+
+    @pytest.mark.parametrize("command,channel", [("forecast", "3"),
+                                                 ("impute", "-5"),
+                                                 ("superres", "1")])
+    def test_channel_out_of_range_is_usage_error(self, trained, tmp_path, command,
+                                                 channel, capsys):
+        out = tmp_path / "o"
+        code = main([command, "--data", "synth:simple", "--checkpoint",
+                     os.path.join(trained, "model.awn"), "--out", str(out),
+                     "--channel", channel])
+        assert code == EXIT_USAGE
+        assert one_line_error(capsys, "usage error:")
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", ["eval", "forecast", "impute", "superres"])
     def test_channel_mismatch_is_data_error(self, trained, tmp_path, command,
                                             capsys):
+        out = [] if command == "eval" else ["--out", str(tmp_path / "o")]
         code = main([command, "--data", two_channel_csv(tmp_path),
-                     "--checkpoint", os.path.join(trained, "model.awn"),
-                     "--out", str(tmp_path / "o"), "--quiet"])
+                     "--checkpoint", os.path.join(trained, "model.awn")] + out)
         assert code == EXIT_DATA
         err = capsys.readouterr().err
         assert err.startswith("data error:") and err.count("\n") == 1
@@ -204,7 +259,7 @@ class TestEvalAndShowcase:
         ckpt = os.path.join(trained, "model.awn")
         out = str(tmp_path / "fc")
         assert main(["forecast", "--data", "synth:simple", "--checkpoint", ckpt,
-                     "--out", out, "--quiet"]) == EXIT_OK
+                     "--out", out]) == EXIT_OK
         model, (inp, _, _) = shared_path_batch(ckpt, "forecast", -1)
         expected = model.forward(Tensor(inp)).data[0]
         got = read_csv_cells(os.path.join(out, "forecast.csv"))
@@ -214,7 +269,7 @@ class TestEvalAndShowcase:
         ckpt = os.path.join(trained, "model.awn")
         out = str(tmp_path / "sr")
         assert main(["superres", "--data", "synth:simple", "--checkpoint", ckpt,
-                     "--out", out, "--ratio", "4", "--quiet"]) == EXIT_OK
+                     "--out", out, "--ratio", "4"]) == EXIT_OK
         model, (inp, _, _) = shared_path_batch(ckpt, "superres", 0, sr_ratio=4)
         expected = model.forward(Tensor(inp)).data[0]
         got = read_csv_cells(os.path.join(out, "superres.csv"))
@@ -228,7 +283,7 @@ class TestEvalAndShowcase:
         ckpt = os.path.join(train_run(tmp_path, small_config, 3), "model.awn")
         out = str(tmp_path / "imp")
         assert main(["impute", "--data", "synth:simple", "--checkpoint", ckpt,
-                     "--out", out, "--quiet"] + seed_args) == EXIT_OK
+                     "--out", out] + seed_args) == EXIT_OK
         config, arrays = load_checkpoint(ckpt)
         model = restore_model(config, arrays)
         dataset = resolve_dataset("synth:simple", seed=config.seed)
@@ -243,7 +298,7 @@ class TestEvalAndShowcase:
 class TestSynth:
     def test_outputs(self, tmp_path):
         out = str(tmp_path / "syn")
-        code = main(["synth", "--family", "simple", "--out", out, "--quiet"])
+        code = main(["synth", "--family", "simple", "--out", out])
         assert code == EXIT_OK
         with open(os.path.join(out, "signal.csv")) as fh:
             rows = list(csv.reader(fh))
@@ -253,7 +308,7 @@ class TestSynth:
     def test_denoised_is_shift_free(self, tmp_path):
         out = str(tmp_path / "syn")
         main(["synth", "--family", "simple", "--step-change", "0.5",
-              "--out", out, "--quiet"])
+              "--out", out])
         clean = np.loadtxt(os.path.join(out, "denoised.csv"), skiprows=1)
         noisy = np.loadtxt(os.path.join(out, "signal.csv"), skiprows=1)
         # the step applies to the noisy output only
@@ -269,8 +324,7 @@ class TestDecompose:
         data.write_text("a,b\n" + rows + "\n")
         out = str(tmp_path / "dec")
         code = main(["decompose", "--data", str(data), "--out", out,
-                     "--ma-window", "5", "--wavelet", "--levels", "2",
-                     "--kernel-size", "3", "--quiet"])
+                     "--ma-window", "5", "--wavelet", "--levels", "2"])
         assert code == EXIT_OK
         for name in ("seasonal.csv", "trend.csv", "coeffs_level1.csv",
                      "coeffs_level2.csv", "approx_level1.csv",
@@ -287,7 +341,7 @@ class TestDecompose:
         data = tmp_path / "win.csv"
         data.write_text("a\n1\n2\n3\n4\n")
         assert main(["decompose", "--data", str(data), "--ma-window", "4",
-                     "--out", str(tmp_path / "o"), "--quiet"]) == EXIT_NUMERICAL
+                     "--out", str(tmp_path / "o")]) == EXIT_NUMERICAL
 
 
 class TestBench:
@@ -299,7 +353,7 @@ class TestBench:
                      "--out", str(tmp_path / "out"), "--quiet"])
         assert code == EXIT_DATA
 
-    def test_synth_cell_runs(self, tmp_path):
+    def test_synth_cell_runs(self, tmp_path, capsys):
         manifest = tmp_path / "m.json"
         manifest.write_text(json.dumps({"cells": [{
             "dataset": "synth:simple", "seeds": [0], "levels": 2,
@@ -310,4 +364,77 @@ class TestBench:
                      "--quiet"])
         assert code == EXIT_OK
         assert os.path.exists(os.path.join(out, "results.csv"))
-        assert os.path.exists(os.path.join(out, "report.md"))
+        with open(os.path.join(out, "report.md")) as fh:
+            assert capsys.readouterr().out == fh.read()
+
+
+def removed_flag_argv(tmp_path, command):
+    """A valid invocation of each command, to which one flag is appended."""
+    manifest = tmp_path / "m.json"
+    manifest.write_text(json.dumps({"cells": []}))
+    config = tmp_path / "c.txt"
+    config.write_text(SMALL)
+    out = ["--out", str(tmp_path / "o")]
+    loaded = ["--data", "synth:simple", "--checkpoint", str(tmp_path / "m.awn")]
+    return {"train": ["--data", "synth:simple", "--config", str(config), "--quiet"] + out,
+            "eval": loaded,
+            "forecast": loaded + out,
+            "impute": loaded + out,
+            "superres": loaded + out,
+            "synth": out,
+            "decompose": ["--data", str(tmp_path / "w.csv")] + out,
+            "bench": ["--manifest", str(manifest), "--quiet"] + out}[command]
+
+
+REMOVED_FLAGS = [
+    ("eval", ["--out", "o"]), ("eval", ["--quiet"]),
+    ("forecast", ["--seed", "1"]), ("forecast", ["--quiet"]),
+    ("impute", ["--quiet"]),
+    ("superres", ["--seed", "1"]), ("superres", ["--quiet"]),
+    ("synth", ["--quiet"]),
+    ("decompose", ["--seed", "1"]), ("decompose", ["--quiet"]),
+    ("decompose", ["--kernel-size", "3"]),
+    ("bench", ["--seed", "1"]),
+    ("train", ["--eq9-literal"])]
+
+
+@pytest.mark.parametrize("command,flag", REMOVED_FLAGS,
+                         ids=[f"{c} {f[0]}" for c, f in REMOVED_FLAGS])
+def test_removed_flag_is_usage_error(tmp_path, command, flag, capsys):
+    code = main([command] + removed_flag_argv(tmp_path, command) + flag)
+    assert code == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "unrecognized arguments" in err and flag[0] in err
+
+
+def subcommands():
+    action, = (a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    return action.choices
+
+
+def args_read(func, seen):
+    """Names read as ``args.<name>`` by func and, transitively, by the
+    module-level cli functions it calls."""
+    if func in seen:
+        return set()
+    seen.add(func)
+    names = set()
+    for node in ast.walk(ast.parse(inspect.getsource(func))):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id == "args"):
+            names.add(node.attr)
+        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
+            helper = getattr(cli, node.func.id, None)
+            if inspect.isfunction(helper) and helper.__module__ == cli.__name__:
+                names |= args_read(helper, seen)
+    return names
+
+
+def test_every_declared_flag_is_read():
+    unread = []
+    for command, parser in subcommands().items():
+        read = args_read(parser.get_default("func"), set())
+        unread += [(command, a.option_strings[0]) for a in parser._actions
+                   if a.option_strings and a.dest != "help" and a.dest not in read]
+    assert unread == []

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from pytest import approx
 
@@ -59,6 +59,30 @@ class TestLoadCsv:
         with pytest.raises(DataError):
             load_csv(str(path))
 
+    def test_non_utf8_file_rejected(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_bytes(b"a\n1\n\xff\n2\n")
+        with pytest.raises(DataError, match="d.csv"):
+            load_csv(str(path))
+
+    @pytest.mark.filterwarnings("ignore:constant channels")
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(st.one_of(
+        st.binary(max_size=200),
+        st.lists(st.sampled_from([b"1", b"-2.5e3", b",", b"\n", b"\r", b"x",
+                                  b"nan", b'"', b" ", b"\x00", b"\xff"]),
+                 max_size=60).map(b"".join)))
+    def test_random_bytes_load_or_raise_data_error(self, tmp_path, blob):
+        path = tmp_path / "fuzz.csv"
+        path.write_bytes(blob)
+        try:
+            ds = load_csv(str(path))
+        except DataError:
+            return
+        assert ds.values.shape[0] == len(ds.channel_names)
+        assert np.all(np.isfinite(ds.values))
+
 
 class TestBuildDataset:
     def test_split_arithmetic(self, rng):
@@ -73,20 +97,20 @@ class TestBuildDataset:
         assert ds.std == approx(data[:, :70].std(axis=1))
 
     def test_normalized_train_is_standardized(self, rng):
-        ds = build_dataset(["x"], rng.normal(3, 2, size=(1, 100)))
+        ds = build_dataset(["x"], rng.normal(3, 2, size=(1, 100)), (0.7, 0.1, 0.2))
         train = ds.split_values("train")
         assert train.mean(axis=1) == approx(np.zeros(1), abs=1e-12)
         assert train.std(axis=1) == approx(np.ones(1))
 
     def test_denormalize_round_trip(self, rng):
-        ds = build_dataset(["x", "y"], rng.normal(5, 3, size=(2, 50)))
+        ds = build_dataset(["x", "y"], rng.normal(5, 3, size=(2, 50)), (0.7, 0.1, 0.2))
         test = ds.split_values("test")
         assert ds.denormalize(test) == approx(ds.split_values("test", normalized=False))
 
     def test_constant_channel_warns_and_survives(self):
         data = np.vstack([np.ones(40), np.arange(40.0)])
         with pytest.warns(UserWarning):
-            ds = build_dataset(["flat", "ramp"], data)
+            ds = build_dataset(["flat", "ramp"], data, (0.7, 0.1, 0.2))
         assert ds.std[0] == 1.0
         assert np.all(np.isfinite(ds.split_values("train")))
 
@@ -161,6 +185,13 @@ class TestMasks:
         a = make_mask(MaskSpec("random", 0.25, seed=11), (2, 32))
         b = make_mask(MaskSpec("random", 0.25, seed=11), (2, 32))
         assert np.array_equal(a, b)
+
+    def test_ratio_concealing_nothing_rejected(self):
+        """round(0.01 * 32) = 0 lies within 1/L of the ratio, but conceals
+        nothing."""
+        for mode in ("random", "extended"):
+            with pytest.raises(DataError, match="conceals no sample"):
+                make_mask(MaskSpec(mode, 0.01), (1, 32))
 
     def test_bad_spec_rejected(self):
         with pytest.raises(DataError):

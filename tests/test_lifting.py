@@ -4,7 +4,8 @@ from pytest import approx
 
 import adawavenet.tensor as T
 from adawavenet.lifting import (LiftingLevel, WaveletPyramid, analyze,
-                                lift_forward, lift_inverse, split, synthesize)
+                                final_length, lift_forward, lift_inverse, split,
+                                synthesize)
 from adawavenet.tensor import Tensor, TensorError
 
 
@@ -179,6 +180,14 @@ class TestCascade:
         levels = [LiftingLevel(1, 3) for _ in range(4)]
         with pytest.raises(TensorError):
             analyze(Tensor(rng.normal(size=(1, 16))), levels)
+
+    def test_final_length_is_the_cascade_length(self, rng):
+        for length in (1, 2, 5, 16, 17, 96, 97):
+            x = Tensor(rng.normal(size=(1, length)))
+            for n in range(4):
+                assert final_length(length, n) == x.shape[-1]
+                x = lift_forward(x, LiftingLevel(1, 3))[0]
+        assert final_length(96, 10**9) == 1
 
     def test_tied_round_trip(self, rng):
         for L in (96, 89):

@@ -1,10 +1,14 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from pytest import approx
 
 import adawavenet.tensor as T
-from adawavenet.config import (ConfigError, ModelConfig, TrainConfig,
-                               from_text, to_text)
+from adawavenet.config import (INVERSE_MODES, TASKS, ConfigError, ModelConfig,
+                               TrainConfig, from_text, to_text)
 from adawavenet.data import DataError, MaskSpec
 from adawavenet.grouped import ChannelClustering
 from adawavenet.model import (AdaWaveNet, RevIN, load_checkpoint, model_state,
@@ -163,6 +167,20 @@ class TestConfig:
     def test_unparsable_value_names_its_line(self, text):
         with pytest.raises(ConfigError, match="line 2"):
             from_text(ModelConfig, text)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.sampled_from([ModelConfig, TrainConfig]),
+           st.lists(st.tuples(
+               st.sampled_from(sorted({f.name for f in fields(ModelConfig)}
+                                      | {f.name for f in fields(TrainConfig)})),
+               st.one_of(st.text(max_size=12), st.integers().map(str),
+                         st.floats().map(str), st.sampled_from(TASKS + INVERSE_MODES))),
+               max_size=6))
+    def test_random_text_parses_or_raises_config_error(self, cls, pairs):
+        try:
+            from_text(cls, "\n".join(f"{k}={v}" for k, v in pairs))
+        except ConfigError:
+            pass
 
     def test_final_len(self):
         assert ModelConfig(levels=4, input_len=96, pred_len=96).final_len == 6

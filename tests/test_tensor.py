@@ -110,11 +110,11 @@ class TestElementwise:
         masked = T.mse(p, t, mask=Tensor(np.ones((3, 5)))).item()
         assert masked == approx(full)
 
-    def test_masked_mse_empty_mask_falls_back(self, rng):
+    def test_masked_mse_empty_mask_rejected(self, rng):
         p = Tensor(rng.normal(size=(2, 4)))
         t = Tensor(rng.normal(size=(2, 4)))
-        assert T.mse(p, t, mask=Tensor(np.zeros((2, 4)))).item() == approx(
-            T.mse(p, t).item())
+        with pytest.raises(TensorError, match="empty"):
+            T.mse(p, t, mask=Tensor(np.zeros((2, 4))))
 
     def test_mse_rejects_nonbinary_mask(self, rng):
         p = Tensor(np.zeros((2, 2)))
