@@ -7,7 +7,7 @@ from . import tensor as T
 from .config import TrainConfig
 from .data import Dataset, windows
 from .tensor import Tensor
-from .train import AdamState, adam_step
+from .train import AdamState, _train_epoch
 
 
 def baseline_persistence(x_in: np.ndarray, pred_len: int) -> np.ndarray:
@@ -41,13 +41,6 @@ class LinearBaseline:
         state = AdamState(params)
         rng = np.random.default_rng(train_cfg.seed)
         for _ in range(train_cfg.max_epochs):
-            order = rng.permutation(len(xs))
-            for start in range(0, len(order), train_cfg.batch_size):
-                idx = order[start:start + train_cfg.batch_size]
-                pred = self.forward(Tensor(xs[idx]))
-                loss = T.mse(pred, Tensor(ys[idx]))
-                for p in params.values():
-                    p.zero_grad()
-                loss.backward()
-                adam_step(params, state, train_cfg.learning_rate)
+            _train_epoch(self, params, state, train_cfg, rng.permutation(len(xs)),
+                         lambda idx: (xs[idx], ys[idx], None))
         return self

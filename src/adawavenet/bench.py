@@ -9,12 +9,13 @@ import hashlib
 import json
 import os
 import time
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .baselines import LinearBaseline, baseline_persistence
-from .config import ModelConfig, TrainConfig, to_text
+from .config import (ConfigError, ModelConfig, TrainConfig, build, read_text,
+                     to_text)
 from .data import Dataset, DataError, MaskSpec, build_dataset, load_csv, windows
 from .metrics import metrics
 from .model import AdaWaveNet
@@ -128,28 +129,27 @@ def case_study(family: str = "simple", seed: int = 0,
     result = {"model": metrics(preds, ys), "dataset": dataset,
               "trained": model, "inputs": xs, "targets": ys, "preds": preds}
     result["persistence"] = metrics(baseline_persistence(xs, Lp), ys)
-    lin = LinearBaseline(L, Lp).fit(dataset, TrainConfig(
-        learning_rate=train_cfg.learning_rate,
-        max_epochs=train_cfg.max_epochs, seed=seed))
+    lin = LinearBaseline(L, Lp).fit(dataset, train_cfg)    # reads no patience
     result["linear"] = metrics(lin.predict(xs), ys)
     return result
 
 
 # -- manifest-driven benchmark runs ------------------------------------------
 
-_CELL_MODEL_KEYS = {f.name for f in fields(ModelConfig)}
-_CELL_TRAIN_KEYS = {f.name for f in fields(TrainConfig)}
+def cell_configs(cell: dict, seed) -> tuple[ModelConfig, TrainConfig]:
+    """Every cell key but the run keys (dataset, seeds, mask_mode, mask_ratio)
+    sets the config field of its name; the run's seed overrides any ``seed``."""
+    items = [(f"cell {cell['dataset']}", k, v) for k, v in cell.items()
+             if k not in ("dataset", "seeds", "mask_mode", "mask_ratio")]
+    return build((ModelConfig, TrainConfig), items + [("seeds", "seed", seed)])
 
 
 def run_cell(cell: dict, seed: int, verbose: bool = False) -> RunResult:
-    """Train and test one manifest cell; its ModelConfig and TrainConfig keys
-    are read as they are, and the run's seed overrides any ``seed`` key."""
+    """Train and test one manifest cell with one of its seeds."""
     name = cell["dataset"]
+    model_cfg, train_cfg = cell_configs(cell, seed)
+    seed = model_cfg.seed       # parsed like every other setting
     dataset = resolve_dataset(name, seed=seed)
-    model_kwargs = {k: v for k, v in cell.items() if k in _CELL_MODEL_KEYS}
-    train_kwargs = {k: v for k, v in cell.items() if k in _CELL_TRAIN_KEYS}
-    model_cfg = ModelConfig(**{**model_kwargs, "seed": seed}).validate()
-    train_cfg = TrainConfig(**{**train_kwargs, "seed": seed}).validate()
     task = model_cfg.task
     mask_spec = None
     if task == "impute":
@@ -237,8 +237,21 @@ def format_report(results: list[RunResult], skipped: list[str]) -> str:
 
 
 def load_manifest(path: str) -> dict:
-    with open(path) as fh:
-        return json.load(fh)
+    """A JSON object whose "cells" are objects, each naming a dataset and
+    listing its seeds; a malformed manifest or cell setting is a ConfigError."""
+    try:
+        manifest = json.loads(read_text(path))
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"{path}: not JSON: {exc}") from None
+    cells = manifest.get("cells", []) if isinstance(manifest, dict) else None
+    if not (isinstance(cells, list) and all(
+            isinstance(c, dict) and isinstance(c.get("dataset"), str)
+            and isinstance(c.get("seeds", []), list) for c in cells)):
+        raise ConfigError(f"{path}: cells must be objects with a dataset and seeds list")
+    for cell in cells:          # settings errors surface before any run
+        for seed in cell.get("seeds", [0]):
+            cell_configs(cell, seed)
+    return manifest
 
 
 def showcase_plot(path: str, history: np.ndarray, truth: np.ndarray,

@@ -14,7 +14,8 @@ import numpy as np
 
 from . import bench as B
 from . import svgplot
-from .config import ConfigError, ModelConfig, TrainConfig, load_mixed_config
+from .config import (ConfigError, ModelConfig, TrainConfig, build, read_items,
+                     read_text)
 from .data import DataError, MaskSpec, load_csv, windows
 from .decompose import decompose
 from .lifting import LiftingLevel, check_depth, lift_forward
@@ -65,6 +66,8 @@ def _mask_spec(args, model):
     """Imputation masks as `eval` scores them; --seed defaults to the
     model's seed."""
     seed = model.config.seed if args.seed is None else args.seed
+    if seed < 0:
+        raise UsageError(f"--seed {seed} must be >= 0")
     return MaskSpec(mode=args.mask_mode, ratio=args.mask_ratio, seed=seed)
 
 
@@ -87,12 +90,10 @@ def _test_window(model, dataset, task, index, mask_spec=None, sr_ratio=1):
 
 
 def cmd_train(args):
-    if args.config is None:
-        model_cfg, train_cfg = ModelConfig(), TrainConfig()
-    else:
-        model_cfg, train_cfg = load_mixed_config(args.config)
+    items = [] if args.config is None else read_items(read_text(args.config))
     if args.seed is not None:
-        model_cfg.seed = train_cfg.seed = args.seed
+        items.append(("--seed", "seed", args.seed))
+    model_cfg, train_cfg = build((ModelConfig, TrainConfig), items)
     dataset = B.resolve_dataset(args.data, seed=model_cfg.seed)
     model = build_model(dataset, model_cfg)
     mask_spec = _mask_spec(args, model) if model_cfg.task == "impute" else None
@@ -186,13 +187,17 @@ def cmd_synth(args):
 def cmd_decompose(args):
     window = load_csv(args.data, (1.0, 0.0, 0.0))   # the whole CSV is one window
     names, values = window.channel_names, window.values
+    try:                # --ma-window and --levels are checked before any output
+        parts = decompose(Tensor(values), args.ma_window)
+        if args.wavelet:
+            check_depth(values.shape[1], args.levels)
+    except TensorError as exc:
+        raise UsageError(str(exc)) from None
     os.makedirs(args.out, exist_ok=True)
-    parts = decompose(Tensor(values), args.ma_window)
     _write_csv(os.path.join(args.out, "seasonal.csv"), names, parts.seasonal.data)
     _write_csv(os.path.join(args.out, "trend.csv"), names, parts.trend.data)
     outputs = ["seasonal.csv", "trend.csv"]
     if args.wavelet:
-        check_depth(values.shape[1], args.levels)
         approx = parts.seasonal
         # an untrained level has zero kernels whatever their size: the
         # lifting steps vanish and each level is a plain polyphase split
@@ -283,7 +288,7 @@ def main(argv=None):
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except (UsageError, ConfigError, SynthError) as exc:
+    except (UsageError, ConfigError, SynthError, OSError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except DataError as exc:

@@ -1,6 +1,7 @@
 """Dataclass configs and the key=value text format they serialize to."""
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 
 from .lifting import MIN_FINAL_LENGTH, final_length
@@ -35,9 +36,10 @@ class ModelConfig:
             raise ConfigError(f"unknown task {self.task!r}")
         if self.inverse_mode not in INVERSE_MODES:
             raise ConfigError(f"unknown inverse mode {self.inverse_mode!r}")
-        for name in ("levels", "kernel_size", "n_clusters"):
-            if getattr(self, name) < 1:
-                raise ConfigError(f"{name} must be >= 1")
+        for name, low in (("levels", 1), ("kernel_size", 1), ("n_clusters", 1),
+                          ("seed", 0)):
+            if getattr(self, name) < low:
+                raise ConfigError(f"{name} must be >= {low}")
         if self.pred_len != self.input_len:
             raise ConfigError(
                 "pred_len must equal input_len (the architecture aligns analysis "
@@ -66,11 +68,12 @@ class TrainConfig:
     clip_norm: float = 5.0
 
     def validate(self) -> "TrainConfig":
-        if self.learning_rate < 0:
-            raise ConfigError("learning_rate must be >= 0")
-        for name in ("batch_size", "max_epochs", "patience"):
-            if getattr(self, name) < 1:
-                raise ConfigError(f"{name} must be >= 1")
+        if not 0 <= self.learning_rate < math.inf:
+            raise ConfigError("learning_rate must be finite and >= 0")
+        for name, low in (("batch_size", 1), ("max_epochs", 1), ("patience", 1),
+                          ("seed", 0)):
+            if getattr(self, name) < low:
+                raise ConfigError(f"{name} must be >= {low}")
         return self
 
 
@@ -88,10 +91,18 @@ def to_text(cfg) -> str:
     return "".join(f"{f.name}={getattr(cfg, f.name)}\n" for f in fields(cfg))
 
 
-def from_text(cls, text: str):
-    known = {f.name: f.type for f in fields(cls)}
-    types = {"int": int, "float": float, "bool": bool, "str": str}
-    kwargs = {}
+def read_text(path: str) -> str:
+    """A settings file's text; an unreadable file is a ConfigError."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read {path}: {exc}") from exc
+
+
+def read_items(text: str) -> list[tuple[str, str, str]]:
+    """(where, key, value) for each key=value line; text after # is a comment."""
+    items = []
     for lineno, line in enumerate(text.splitlines(), 1):
         line = line.split("#", 1)[0].strip()
         if not line:
@@ -99,36 +110,28 @@ def from_text(cls, text: str):
         if "=" not in line:
             raise ConfigError(f"line {lineno}: expected key=value, got {line!r}")
         key, value = (s.strip() for s in line.split("=", 1))
-        if key not in known:
-            raise ConfigError(f"line {lineno}: unknown key {key!r}")
-        typ = known[key]
-        if isinstance(typ, str):
-            typ = types[typ]
+        items.append((f"line {lineno}", key, value))
+    return items
+
+
+def build(classes, items) -> tuple:
+    """One validated config per class from (where, key, value) items: a key
+    sets the field of its name in every class that has one, a later item
+    overrides an earlier one, and a value's text is parsed by its field's type."""
+    types = {"int": int, "float": float, "bool": bool, "str": str}
+    kwargs = [{} for _ in classes]
+    for where, key, value in items:
+        targets = [(kw, types[f.type]) for cls, kw in zip(classes, kwargs)
+                   for f in fields(cls) if f.name == key]
+        if not targets:
+            raise ConfigError(f"{where}: unknown key {key!r}")
         try:
-            kwargs[key] = _coerce(value, typ)
+            for kw, typ in targets:
+                kw[key] = _coerce(str(value), typ)
         except ValueError as exc:
-            raise ConfigError(f"line {lineno}: bad value for {key!r}: {exc}") from None
-    return cls(**kwargs).validate()
+            raise ConfigError(f"{where}: bad value for {key!r}: {exc}") from None
+    return tuple(cls(**kw).validate() for cls, kw in zip(classes, kwargs))
 
 
-def load_mixed_config(path: str):
-    """Read a key=value file holding both model and train settings."""
-    model_keys = {f.name for f in fields(ModelConfig)}
-    train_keys = {f.name for f in fields(TrainConfig)}
-    model_lines, train_lines = [], []
-    try:
-        with open(path) as fh:
-            lines = fh.read().splitlines()
-    except (OSError, UnicodeDecodeError) as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    for line in lines:
-        stripped = line.split("#", 1)[0].strip()
-        key = stripped.split("=", 1)[0].strip() if "=" in stripped else None
-        if key is not None and key not in model_keys | train_keys:
-            raise ConfigError(f"unknown config key {key!r}")
-        # blank lines stand in for the other class's keys, so from_text
-        # reports line numbers of the file
-        model_lines.append(stripped if key in model_keys else "")
-        train_lines.append(stripped if key in train_keys else "")
-    return (from_text(ModelConfig, "\n".join(model_lines)),
-            from_text(TrainConfig, "\n".join(train_lines)))
+def from_text(cls, text: str):
+    return build((cls,), read_items(text))[0]

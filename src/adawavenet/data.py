@@ -58,6 +58,8 @@ def load_csv(path: str, split_fractions=(0.7, 0.1, 0.2)) -> Dataset:
     except (ValueError, IndexError):
         drop_first = True
     names = header[1:] if drop_first else header
+    if not names:
+        raise DataError(f"{path}: no data columns")
     values = []
     for i, row in enumerate(rows, 2):
         if len(row) != width:

@@ -73,18 +73,14 @@ class AdaWaveNet:
 
     # -- parameters ----------------------------------------------------------
     def parameters(self) -> dict[str, Tensor]:
-        params = {}
-        for i, level in enumerate(self.levels):
-            for name, p in level.parameters(self.config.inverse_mode).items():
-                params[f"lifting.{i}.{name}"] = p
-        for name, p in self.head.parameters().items():
-            params[f"attention.{name}"] = p
-        for name, p in self.trend_head.parameters().items():
-            params[f"trend.{name}"] = p
+        groups = [(f"lifting.{i}", level.parameters(self.config.inverse_mode))
+                  for i, level in enumerate(self.levels)]
+        groups += [("attention", self.head.parameters()),
+                   ("trend", self.trend_head.parameters())]
         if self.revin is not None:
-            for name, p in self.revin.parameters().items():
-                params[f"revin.{name}"] = p
-        return params
+            groups.append(("revin", self.revin.parameters()))
+        return {f"{prefix}.{name}": p for prefix, group in groups
+                for name, p in group.items()}
 
     def set_passthrough_attention(self):
         """Zero the attention mixing path so the head is embed∘target only

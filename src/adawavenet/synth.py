@@ -44,8 +44,9 @@ class SynthSpec:
     def validate(self):
         if self.family not in FAMILIES:
             raise SynthError(f"unknown family {self.family!r}")
-        if self.n_points < 2:
-            raise SynthError("n_points must be >= 2")
+        for name, low in (("n_points", 2), ("seed", 0)):
+            if getattr(self, name) < low:
+                raise SynthError(f"{name} must be >= {low}")
         return self
 
 

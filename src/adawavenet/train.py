@@ -46,16 +46,13 @@ def adam_step(params: dict[str, Tensor], state: AdamState, lr: float):
 
 
 def clip_gradients(params: dict[str, Tensor], max_norm: float) -> float:
-    total = 0.0
-    for p in params.values():
-        if p.grad is not None:
-            total += float((p.grad ** 2).sum())
-    norm = float(np.sqrt(total))
+    """Scale grads in place to global norm <= max_norm (if > 0); return the unclipped norm."""
+    grads = [p.grad for p in params.values() if p.grad is not None]
+    norm = float(np.sqrt(sum(float((g ** 2).sum()) for g in grads)))
     if max_norm > 0 and norm > max_norm:
-        scale = max_norm / norm
-        for p in params.values():
-            if p.grad is not None:
-                p.grad *= scale
+        with np.errstate(invalid="ignore"):     # an inf gradient times 0 is NaN
+            for g in grads:
+                g *= max_norm / norm
     return norm
 
 
@@ -138,41 +135,20 @@ def train(model: AdaWaveNet, dataset: Dataset, train_cfg: TrainConfig,
     state = AdamState(params)
     rng = np.random.default_rng(train_cfg.seed)
 
-    history = []
-    best_val = np.inf
+    history, best_val, bad_epochs = [], np.inf, 0
     best_state = {k: p.data.copy() for k, p in params.items()}
-    bad_epochs = 0
     for epoch in range(train_cfg.max_epochs):
         t_start = time.time()
-        order = rng.permutation(len(xs))
-        epoch_loss, n_batches = 0.0, 0
-        for start in range(0, len(order), train_cfg.batch_size):
-            idx = order[start:start + train_cfg.batch_size]
-            inp, tgt, lm = _prepare_batch(cfg.task, xs, ys, idx, mask_spec,
-                                          cfg.sr_ratio, mask_salt=epoch + 1)
-            pred = model.forward(Tensor(inp))
-            loss = T.mse(pred, Tensor(tgt),
-                         mask=Tensor(lm) if lm is not None else None)
-            if not np.isfinite(loss.item()):
-                raise NumericalError(_nan_diagnostic(params, "loss is non-finite"))
-            for p in params.values():
-                p.zero_grad()
-            loss.backward()
-            bad = [k for k, p in params.items()
-                   if p.grad is not None and not np.all(np.isfinite(p.grad))]
-            if bad:
-                raise NumericalError(_nan_diagnostic(params, f"non-finite grads in {bad}"))
-            clip_gradients(params, train_cfg.clip_norm)
-            adam_step(params, state, train_cfg.learning_rate)
-            epoch_loss += loss.item()
-            n_batches += 1
-            del pred, loss  # free this step's graph before the next forward
+        train_loss = _train_epoch(
+            model, params, state, train_cfg, rng.permutation(len(xs)),
+            lambda idx: _prepare_batch(cfg.task, xs, ys, idx, mask_spec,
+                                       cfg.sr_ratio, mask_salt=epoch + 1))
         val_loss = evaluate(model, dataset, "val", mask_spec=mask_spec)
         seconds = time.time() - t_start
-        history.append((epoch, epoch_loss / max(n_batches, 1), val_loss,
-                        train_cfg.learning_rate, seconds))
+        history.append((epoch, train_loss, val_loss, train_cfg.learning_rate,
+                        seconds))
         if verbose:
-            print(f"epoch {epoch}: train {epoch_loss / max(n_batches, 1):.6f} "
+            print(f"epoch {epoch}: train {train_loss:.6f} "
                   f"val {val_loss:.6f} ({seconds:.1f}s)")
         if val_loss < best_val - 1e-12:
             best_val = val_loss
@@ -192,7 +168,33 @@ def train(model: AdaWaveNet, dataset: Dataset, train_cfg: TrainConfig,
     return history, best_val
 
 
+def _train_epoch(model, params, state: AdamState, train_cfg: TrainConfig,
+                 order: np.ndarray, batch) -> float:
+    """One Adam step on the (masked) MSE of each batch_size slice of ``order``;
+    batch(idx) gives a slice's (input, target, loss_mask). Returns the mean loss."""
+    total, starts = 0.0, range(0, len(order), train_cfg.batch_size)
+    for start in starts:
+        inp, tgt, lm = batch(order[start:start + train_cfg.batch_size])
+        pred = model.forward(Tensor(inp))
+        loss = T.mse(pred, Tensor(tgt), mask=Tensor(lm) if lm is not None else None)
+        value = loss.item()
+        if not np.isfinite(value):
+            raise NumericalError(_nan_diagnostic(params, "loss is non-finite"))
+        for p in params.values():
+            p.zero_grad()
+        loss.backward()
+        # a non-finite gradient gives a non-finite norm and stays so when clipped
+        if not np.isfinite(clip_gradients(params, train_cfg.clip_norm)):
+            bad = [k for k, p in params.items()
+                   if p.grad is not None and not np.all(np.isfinite(p.grad))]
+            if bad:
+                raise NumericalError(_nan_diagnostic(params, f"non-finite grads in {bad}"))
+        adam_step(params, state, train_cfg.learning_rate)
+        total += value
+        del pred, loss  # free this step's graph before the next forward
+    return total / max(len(starts), 1)
+
+
 def _nan_diagnostic(params, msg):
-    finite = {k: bool(np.all(np.isfinite(p.data))) for k, p in params.items()}
-    broken = [k for k, ok in finite.items() if not ok]
+    broken = [k for k, p in params.items() if not np.all(np.isfinite(p.data))]
     return f"{msg}; non-finite parameter groups: {broken or 'none'}"

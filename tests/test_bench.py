@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,11 +8,11 @@ from pytest import approx
 import adawavenet.tensor as T
 from adawavenet.baselines import LinearBaseline, baseline_persistence
 from adawavenet.bench import (SYNTH_FRACTIONS, RunResult, aggregate,
-                              config_hash, evaluate_forecast, evaluate_impute,
-                              evaluate_superres, format_report, load_manifest,
-                              resolve_dataset, run_benchmark, run_cell,
-                              synth_dataset)
-from adawavenet.config import ModelConfig, TrainConfig
+                              cell_configs, config_hash, evaluate_forecast,
+                              evaluate_impute, evaluate_superres, format_report,
+                              load_manifest, resolve_dataset, run_benchmark,
+                              run_cell, synth_dataset)
+from adawavenet.config import ConfigError, ModelConfig, TrainConfig
 from adawavenet.data import (DataError, MaskSpec, build_dataset, downsample,
                              make_mask, windows)
 from adawavenet.metrics import metrics
@@ -184,6 +185,56 @@ class TestReportAndManifest:
         assert result.setting == setting
         assert result.config_hash == config_hash(
             ModelConfig(task=task, seed=3, **sizes), TrainConfig(max_epochs=1, seed=3))
+
+    def test_unknown_cell_key_rejected(self):
+        with pytest.raises(ConfigError,
+                           match="cell synth:simple: unknown key 'learnign_rate'"):
+            run_cell({"dataset": "synth:simple", "learnign_rate": 0.5}, seed=0)
+
+    @pytest.mark.parametrize("key,value,expected", [
+        ("revin", "false", False), ("revin", False, False), ("levels", "2", 2),
+        ("learning_rate", 1, 1.0), ("learning_rate", "0.005", 0.005)])
+    def test_cell_values_are_typed(self, key, value, expected):
+        model_cfg, train_cfg = cell_configs({"dataset": "synth:simple",
+                                             key: value}, seed=0)
+        got = getattr(model_cfg if hasattr(model_cfg, key) else train_cfg, key)
+        assert got == expected and type(got) is type(expected)
+
+    @pytest.mark.parametrize("value", [2.5, 2.0, None, True])
+    def test_untyped_cell_value_rejected(self, value):
+        with pytest.raises(ConfigError, match="bad value for 'levels'"):
+            cell_configs({"dataset": "synth:simple", "levels": value}, seed=0)
+
+    def test_run_seed_overrides_cell_seed(self):
+        model_cfg, train_cfg = cell_configs({"dataset": "synth:simple",
+                                             "seed": 9}, seed=2)
+        assert model_cfg.seed == train_cfg.seed == 2
+
+    def test_shipped_manifest_config_hashes_are_pinned(self):
+        """Hashes of each cell of scripts/manifest.json with its first seed,
+        as the manifest's settings gave them before cells were typed."""
+        path = Path(__file__).parents[1] / "scripts" / "manifest.json"
+        cells = load_manifest(str(path))["cells"]
+        assert [config_hash(*cell_configs(c, c["seeds"][0])) for c in cells] == [
+            "7e35dc505c05", "7e35dc505c05", "15953ccf905b", "f306e85b60ef",
+            "29d51382b710"]
+
+    @pytest.mark.parametrize("text", [
+        '{"cells": [', "[]", '{"cells": {}}', '{"cells": [{"seeds": [0]}]}',
+        '{"cells": [{"dataset": "synth:simple", "seeds": 0}]}',
+        '{"cells": [{"dataset": "synth:simple", "seeds": ["x"]}]}',
+        '{"cells": [{"dataset": "synth:simple", "learnign_rate": 0.5}]}'],
+        ids=["invalid-json", "list", "cells-object", "no-dataset", "seeds-int",
+             "seed-text", "unknown-key"])
+    def test_malformed_manifest_rejected(self, tmp_path, text):
+        path = tmp_path / "m.json"
+        path.write_text(text)
+        with pytest.raises(ConfigError):
+            load_manifest(str(path))
+
+    def test_missing_manifest_rejected(self, tmp_path):
+        with pytest.raises(ConfigError, match="cannot read"):
+            load_manifest(str(tmp_path / "missing.json"))
 
 
 # -- reference evaluators ----------------------------------------------------

@@ -10,8 +10,7 @@ import pytest
 
 from adawavenet import cli
 from adawavenet.bench import resolve_dataset
-from adawavenet.cli import (EXIT_DATA, EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE,
-                            build_parser, main)
+from adawavenet.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, build_parser, main
 from adawavenet.data import MaskSpec, windows
 from adawavenet.model import load_checkpoint, restore_model
 from adawavenet.tensor import Tensor
@@ -115,7 +114,9 @@ class TestTrain:
 
     @pytest.mark.parametrize("line", ["levels=0", "kernel_size=0",
                                       "n_clusters=0", "batch_size=0",
-                                      "max_epochs=0", "levels=abc"])
+                                      "max_epochs=0", "levels=abc",
+                                      "learning_rate=nan", "learning_rate=inf",
+                                      "seed=-1"])
     def test_bad_config_value_is_usage_error(self, tmp_path, line, capsys):
         cfg = tmp_path / "bad.txt"
         cfg.write_text(SMALL + line + "\n")
@@ -124,6 +125,33 @@ class TestTrain:
         assert code == EXIT_USAGE
         err = capsys.readouterr().err
         assert err.startswith("usage error:") and err.count("\n") == 1
+
+    def test_config_line_without_equals_is_usage_error(self, tmp_path, capsys):
+        """Neither line sets anything, so neither may be dropped silently."""
+        cfg = tmp_path / "colon.txt"
+        cfg.write_text("levels: 2\nmax_epochs 1\n")
+        code = main(["train", "--data", "synth:simple", "--config", str(cfg),
+                     "--out", str(tmp_path / "o"), "--quiet"])
+        assert code == EXIT_USAGE
+        assert one_line_error(capsys, "usage error: line 1: expected key=value")
+
+    @pytest.mark.parametrize("command", ["train", "synth"])
+    def test_negative_seed_is_usage_error(self, tmp_path, small_config, command,
+                                          capsys):
+        args = {"train": ["--data", "synth:simple", "--config", small_config,
+                          "--quiet"], "synth": []}[command]
+        code = main([command, "--seed", "-1", "--out", str(tmp_path / "o")] + args)
+        assert code == EXIT_USAGE
+        assert one_line_error(capsys, "usage error:")
+
+    def test_csv_without_columns_is_data_error(self, tmp_path, small_config,
+                                               capsys):
+        path = tmp_path / "blank.csv"
+        path.write_text("\n\n")
+        code = main(["train", "--data", str(path), "--config", small_config,
+                     "--out", str(tmp_path / "o"), "--quiet"])
+        assert code == EXIT_DATA
+        assert one_line_error(capsys, f"data error: {path}: no data columns")
 
     def test_more_clusters_than_channels_is_data_error(self, tmp_path, capsys):
         cfg = tmp_path / "k.txt"
@@ -244,6 +272,15 @@ class TestEvalAndShowcase:
         assert one_line_error(capsys, "usage error:")
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["eval", "impute"])
+    def test_negative_seed_is_usage_error(self, trained, tmp_path, command,
+                                          capsys):
+        out = [] if command == "eval" else ["--out", str(tmp_path / "o")]
+        code = main([command, "--data", "synth:simple", "--checkpoint",
+                     os.path.join(trained, "model.awn"), "--seed", "-1"] + out)
+        assert code == EXIT_USAGE
+        assert one_line_error(capsys, "usage error:")
+
     @pytest.mark.parametrize("command", ["eval", "forecast", "impute", "superres"])
     def test_channel_mismatch_is_data_error(self, trained, tmp_path, command,
                                             capsys):
@@ -337,11 +374,25 @@ class TestDecompose:
         orig = np.stack([np.sin(t), np.cos(t)], axis=1)
         assert np.abs(seasonal + trend - orig).max() < 1e-6
 
-    def test_even_window_is_numerical_error_exit(self, tmp_path):
+    def test_even_window_is_usage_error(self, tmp_path, capsys):
         data = tmp_path / "win.csv"
         data.write_text("a\n1\n2\n3\n4\n")
         assert main(["decompose", "--data", str(data), "--ma-window", "4",
-                     "--out", str(tmp_path / "o")]) == EXIT_NUMERICAL
+                     "--out", str(tmp_path / "o")]) == EXIT_USAGE
+        assert one_line_error(capsys, "usage error:")
+
+    @pytest.mark.parametrize("flags", [["--ma-window", "0"],
+                                       ["--wavelet", "--levels", "0"],
+                                       ["--wavelet", "--levels", "9"]],
+                             ids=["ma-window 0", "levels 0", "levels 9"])
+    def test_bad_flag_is_usage_error(self, tmp_path, flags, capsys):
+        data = tmp_path / "win.csv"
+        data.write_text("a\n" + "\n".join(str(np.sin(i)) for i in range(40)) + "\n")
+        out = tmp_path / "o"
+        assert main(["decompose", "--data", str(data), "--out", str(out)]
+                    + flags) == EXIT_USAGE
+        assert one_line_error(capsys, "usage error:")
+        assert not out.exists()
 
 
 class TestBench:
@@ -366,6 +417,20 @@ class TestBench:
         assert os.path.exists(os.path.join(out, "results.csv"))
         with open(os.path.join(out, "report.md")) as fh:
             assert capsys.readouterr().out == fh.read()
+
+    @pytest.mark.parametrize("text", [
+        '{"cells": [', None, '[{"dataset": "synth:simple"}]',
+        '{"cells": [{"seeds": [0]}]}',
+        '{"cells": [{"dataset": "synth:simple", "learnign_rate": 0.5}]}'],
+        ids=["invalid-json", "missing", "list", "no-dataset", "unknown-key"])
+    def test_malformed_manifest_is_usage_error(self, tmp_path, text, capsys):
+        manifest = tmp_path / "m.json"
+        if text is not None:
+            manifest.write_text(text)
+        code = main(["bench", "--manifest", str(manifest),
+                     "--out", str(tmp_path / "out"), "--quiet"])
+        assert code == EXIT_USAGE
+        assert one_line_error(capsys, "usage error:")
 
 
 def removed_flag_argv(tmp_path, command):

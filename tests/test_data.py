@@ -30,6 +30,13 @@ class TestLoadCsv:
         assert ds.channel_names == ["x", "y"]
         assert ds.values.shape == (2, 10)
 
+    @pytest.mark.parametrize("text", ["\n\n", "date\n2020-01-01\n"])
+    def test_no_columns_rejected(self, tmp_path, text):
+        path = tmp_path / "d.csv"
+        path.write_text(text)
+        with pytest.raises(DataError, match="d.csv: no data columns"):
+            load_csv(str(path))
+
     def test_ragged_row_rejected(self, tmp_path):
         path = tmp_path / "d.csv"
         path.write_text("a,b\n1,2\n3\n")

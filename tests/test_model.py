@@ -8,7 +8,8 @@ from pytest import approx
 
 import adawavenet.tensor as T
 from adawavenet.config import (INVERSE_MODES, TASKS, ConfigError, ModelConfig,
-                               TrainConfig, from_text, to_text)
+                               TrainConfig, build, from_text, read_items,
+                               to_text)
 from adawavenet.data import DataError, MaskSpec
 from adawavenet.grouped import ChannelClustering
 from adawavenet.model import (AdaWaveNet, RevIN, load_checkpoint, model_state,
@@ -162,6 +163,17 @@ class TestConfig:
         with pytest.raises(ConfigError):
             TrainConfig(learning_rate=-1e-3).validate()
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_learning_rate_rejected(self, value):
+        with pytest.raises(ConfigError, match="learning_rate"):
+            TrainConfig(learning_rate=value).validate()
+
+    @pytest.mark.parametrize("cls", [ModelConfig, TrainConfig])
+    def test_negative_seed_rejected(self, cls):
+        cls(seed=0).validate()
+        with pytest.raises(ConfigError, match="seed"):
+            cls(seed=-1).validate()
+
     @pytest.mark.parametrize("text", ["kernel_size=3\nlevels=abc",
                                       "kernel_size=3\nrevin=maybe"])
     def test_unparsable_value_names_its_line(self, text):
@@ -193,6 +205,27 @@ class TestConfig:
     def test_unknown_key_rejected(self):
         with pytest.raises(ConfigError):
             from_text(ModelConfig, "bogus=1")
+
+    def test_line_without_equals_rejected(self):
+        with pytest.raises(ConfigError, match="line 2: expected key=value"):
+            read_items("levels=2\nmax_epochs 1")
+
+    def test_builder_sets_each_class_that_has_the_key(self):
+        model, train = build((ModelConfig, TrainConfig),
+                             [("a", "seed", 3), ("b", "levels", "2"),
+                              ("c", "learning_rate", 1), ("d", "seed", "5")])
+        assert (model.seed, train.seed, model.levels) == (5, 5, 2)
+        assert train.learning_rate == 1.0 and isinstance(train.learning_rate, float)
+
+    @pytest.mark.parametrize("key,value", [("levels", 2.5), ("levels", None),
+                                           ("revin", "maybe"), ("levels", True)])
+    def test_builder_types_values(self, key, value):
+        with pytest.raises(ConfigError, match=f"cell 7: bad value for '{key}'"):
+            build((ModelConfig,), [("cell 7", key, value)])
+
+    def test_builder_names_where_an_unknown_key_is(self):
+        with pytest.raises(ConfigError, match="cell 7: unknown key 'lr'"):
+            build((ModelConfig, TrainConfig), [("cell 7", "lr", 1)])
 
     def test_comments_and_blank_lines_ignored(self):
         cfg = from_text(ModelConfig, "# comment\n\nlevels=2  # trailing\n")

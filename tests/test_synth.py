@@ -50,6 +50,11 @@ class TestCleanSignal:
             generate(SynthSpec(family="lorenz"))
 
 
+def test_negative_seed_rejected():
+    with pytest.raises(SynthError, match="seed"):
+        generate(SynthSpec(seed=-1))
+
+
 class TestNoise:
     def test_noiseless_matches_denoised(self):
         spec = SynthSpec(noise_std=0.0)

@@ -5,6 +5,7 @@ import pytest
 from pytest import approx
 
 import adawavenet.tensor as T
+from adawavenet.baselines import LinearBaseline
 from adawavenet.config import ModelConfig, TrainConfig
 from adawavenet.data import MaskSpec, build_dataset
 from adawavenet.model import AdaWaveNet
@@ -163,6 +164,26 @@ class TestTrainLoop:
         some.data[...] = np.nan
         with pytest.raises(NumericalError):
             train(model, ds, TrainConfig(max_epochs=1))
+
+    def test_baseline_nan_weight_raises_numerical_error(self, rng):
+        lin = LinearBaseline(32, 32)
+        lin.weight.data[0, 0] = np.nan
+        with pytest.raises(NumericalError, match="loss is non-finite"):
+            lin.fit(tiny_dataset(rng), TrainConfig(max_epochs=1))
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_grad_names_its_group(self, rng, monkeypatch, value):
+        """A finite loss whose bias gradient is non-finite: clipping scales an
+        inf by 0 to NaN, so only the bias is named either way."""
+        linear = T.linear
+
+        def poisoned(x, weight, bias):
+            bias = T._make(bias.data, (bias,), lambda g: (np.full_like(g, value),))
+            return linear(x, weight, bias)
+
+        monkeypatch.setattr(T, "linear", poisoned)
+        with pytest.raises(NumericalError, match=r"non-finite grads in \['bias'\]"):
+            LinearBaseline(32, 32).fit(tiny_dataset(rng), TrainConfig(max_epochs=1))
 
     def test_single_window_overfit_probe(self, rng):
         """A model trained on one repeated window should drive its loss well
