@@ -65,7 +65,9 @@ class AttentionHead:
 
         tokens = T.matmul(x, self.w_embed)                       # [B, C, d]
         h = T.layer_norm(tokens, self.ln_scale, self.ln_shift)
-        q = T.matmul(h, self.w_q)
+        # 1/sqrt(dh) scales the [d, d] query weights, so that neither the
+        # [B, H, C, C] scores nor the [B, C, d] queries need another copy
+        q = T.matmul(h, T.mul(self.w_q, Tensor(1.0 / np.sqrt(dh))))
         k = T.matmul(h, self.w_k)
         v = T.matmul(h, self.w_v)
 
@@ -73,8 +75,7 @@ class AttentionHead:
             return T.transpose(T.reshape(t, (B, C, H, dh)), (0, 2, 1, 3))
 
         q, k, v = heads_view(q), heads_view(k), heads_view(v)
-        scores = T.mul(T.matmul(q, T.transpose(k, (0, 1, 3, 2))),
-                       Tensor(1.0 / np.sqrt(dh)))
+        scores = T.matmul(q, T.transpose(k, (0, 1, 3, 2)))
         weights = T.softmax(scores, axis=-1)                     # [B, H, C, C]
         mixed = T.matmul(weights, v)                             # [B, H, C, dh]
         mixed = T.reshape(T.transpose(mixed, (0, 2, 1, 3)), (B, C, self.d_model))

@@ -144,6 +144,19 @@ def cell_configs(cell: dict, seed) -> tuple[ModelConfig, TrainConfig]:
     return build((ModelConfig, TrainConfig), items + [("seeds", "seed", seed)])
 
 
+def cell_mask_spec(cell: dict, seed) -> MaskSpec:
+    """The imputation mask of a cell's run keys mask_mode (default random) and
+    mask_ratio (default 0.25), each parsed as a config field's text is; a bad
+    value is a ConfigError."""
+    where = f"cell {cell['dataset']}"
+    items = [(where, "mode", cell.get("mask_mode", "random")),
+             (where, "ratio", cell.get("mask_ratio", 0.25)), ("seeds", "seed", seed)]
+    try:
+        return build((MaskSpec,), items)[0]
+    except DataError as exc:
+        raise ConfigError(f"{where}: {exc}") from None
+
+
 def run_cell(cell: dict, seed: int, verbose: bool = False) -> RunResult:
     """Train and test one manifest cell with one of its seeds."""
     name = cell["dataset"]
@@ -153,8 +166,7 @@ def run_cell(cell: dict, seed: int, verbose: bool = False) -> RunResult:
     task = model_cfg.task
     mask_spec = None
     if task == "impute":
-        mask_spec = MaskSpec(mode=cell.get("mask_mode", "random"),
-                             ratio=cell.get("mask_ratio", 0.25), seed=seed)
+        mask_spec = cell_mask_spec(cell, seed)
         setting = f"mask={mask_spec.ratio}:{mask_spec.mode}"
     elif task == "superres":
         setting = f"r={model_cfg.sr_ratio}"
@@ -251,6 +263,7 @@ def load_manifest(path: str) -> dict:
     for cell in cells:          # settings errors surface before any run
         for seed in cell.get("seeds", [0]):
             cell_configs(cell, seed)
+            cell_mask_spec(cell, seed)
     return manifest
 
 

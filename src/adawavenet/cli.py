@@ -21,7 +21,7 @@ from .decompose import decompose
 from .lifting import LiftingLevel, check_depth, lift_forward
 from .model import load_checkpoint, model_state, restore_model, save_checkpoint
 from .synth import SynthError, SynthSpec, denoised_target, generate
-from .tensor import Tensor, TensorError
+from .tensor import Tensor, TensorError, no_grad
 from .train import NumericalError, _prepare_batch, build_model, train
 
 EXIT_OK = 0
@@ -85,7 +85,8 @@ def _test_window(model, dataset, task, index, mask_spec=None, sr_ratio=1):
     xs, ys = windows(dataset, "test", cfg.input_len, cfg.pred_len, task)
     inp, tgt, lm = _prepare_batch(task, xs, ys, np.array([index % len(xs)]),
                                   mask_spec, sr_ratio, mask_salt=0)
-    pred = model.forward(Tensor(inp)).data[0]
+    with no_grad():
+        pred = model.forward(Tensor(inp)).data[0]
     return inp[0], tgt[0], None if lm is None else lm[0], pred
 
 

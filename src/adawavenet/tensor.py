@@ -99,9 +99,31 @@ class Tensor:
                 grads[key] = pg if key not in grads else grads[key] + pg
 
 
+_recording = True   # False inside no_grad
+
+
+class no_grad:
+    """Context in which no op records its parents or a backward closure: the
+    outputs are constants, and each intermediate is freed once nothing refers
+    to it. The arithmetic is unchanged. Nests; the previous mode comes back
+    on exit, also after an exception."""
+
+    def __enter__(self):
+        global _recording
+        self._saved, _recording = _recording, False
+        return self
+
+    def __exit__(self, *exc):
+        global _recording
+        _recording = self._saved
+        return False
+
+
 def _make(data, parents, backward):
+    """The op's output tensor. A backward closure returns one gradient per
+    parent, or None for a parent that does not require one."""
     out = Tensor(data)
-    if any(p.requires_grad for p in parents):
+    if _recording and any(p.requires_grad for p in parents):
         out.requires_grad = True
         out._parents = tuple(parents)
         out._backward = backward
@@ -121,25 +143,27 @@ def _unbroadcast(g, shape):
 # -- elementwise -------------------------------------------------------------
 
 def add(a, b):
-    return _make(a.data + b.data, (a, b),
-                 lambda g: (_unbroadcast(g, a.shape), _unbroadcast(g, b.shape)))
+    return _make(a.data + b.data, (a, b), lambda g: (
+        _unbroadcast(g, a.shape) if a.requires_grad else None,
+        _unbroadcast(g, b.shape) if b.requires_grad else None))
 
 
 def sub(a, b):
-    return _make(a.data - b.data, (a, b),
-                 lambda g: (_unbroadcast(g, a.shape), _unbroadcast(-g, b.shape)))
+    return _make(a.data - b.data, (a, b), lambda g: (
+        _unbroadcast(g, a.shape) if a.requires_grad else None,
+        _unbroadcast(-g, b.shape) if b.requires_grad else None))
 
 
 def mul(a, b):
-    return _make(a.data * b.data, (a, b),
-                 lambda g: (_unbroadcast(g * b.data, a.shape),
-                            _unbroadcast(g * a.data, b.shape)))
+    return _make(a.data * b.data, (a, b), lambda g: (
+        _unbroadcast(g * b.data, a.shape) if a.requires_grad else None,
+        _unbroadcast(g * a.data, b.shape) if b.requires_grad else None))
 
 
 def div(a, b):
-    return _make(a.data / b.data, (a, b),
-                 lambda g: (_unbroadcast(g / b.data, a.shape),
-                            _unbroadcast(-g * a.data / b.data ** 2, b.shape)))
+    return _make(a.data / b.data, (a, b), lambda g: (
+        _unbroadcast(g / b.data, a.shape) if a.requires_grad else None,
+        _unbroadcast(-g * a.data / b.data ** 2, b.shape) if b.requires_grad else None))
 
 
 def sqrt(a):
@@ -153,13 +177,16 @@ def tanh(a):
 
 
 def softmax(a, axis=-1):
-    z = a.data - a.data.max(axis=axis, keepdims=True)
-    e = np.exp(z)
-    s = e / e.sum(axis=axis, keepdims=True)
+    s = a.data - a.data.max(axis=axis, keepdims=True)
+    np.exp(s, out=s)
+    s /= s.sum(axis=axis, keepdims=True)
 
     def backward(g):
-        inner = (g * s).sum(axis=axis, keepdims=True)
-        return ((g - inner) * s,)
+        gs = g * s
+        inner = gs.sum(axis=axis, keepdims=True)
+        np.subtract(g, inner, out=gs)
+        gs *= s
+        return (gs,)
 
     return _make(s, (a,), backward)
 
@@ -205,7 +232,8 @@ def mse(pred, target, mask=None):
 
     def backward(g):
         gp = g * 2.0 * m * diff / denom
-        return (gp, -gp)
+        return (gp if pred.requires_grad else None,
+                -gp if target.requires_grad else None)
 
     return _make(val, (pred, target), backward)
 
@@ -216,9 +244,15 @@ def matmul(a, b):
     def backward(g):
         if b.data.ndim == 1:
             raise TensorError("1-D right operands unsupported")
-        ga = g @ np.swapaxes(b.data, -1, -2)
-        gb = np.swapaxes(a.data, -1, -2) @ g
-        return (_unbroadcast(ga, a.shape), _unbroadcast(gb, b.shape))
+        ga = gb = None
+        if a.requires_grad:
+            ga = _unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.shape)
+        if b.requires_grad and b.data.ndim == 2:
+            # the weight gradient summed over every leading axis in one GEMM
+            gb = a.data.reshape(-1, a.shape[-1]).T @ g.reshape(-1, g.shape[-1])
+        elif b.requires_grad:
+            gb = _unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.shape)
+        return ga, gb
 
     return _make(a.data @ b.data, (a, b), backward)
 
@@ -346,7 +380,9 @@ def depthwise_conv1d(x, kernels, bias=None):
         out += bias.data[:, None]
 
     def backward(g):
-        gx, _ = _depthwise_correlate(g, kernels.data[:, ::-1], pr, pl)
+        gx = None
+        if x.requires_grad:
+            gx, _ = _depthwise_correlate(g, kernels.data[:, ::-1], pr, pl)
         grads = [gx, np.einsum("ncl,nclk->ck", g.reshape(win.shape[:-1]), win)]
         if bias is not None:
             grads.append(g.sum(axis=tuple(range(g.ndim - 2)) + (g.ndim - 1,)))
@@ -383,11 +419,16 @@ def _moving_average_matrix(L, window):
     """Read-only [L, L] banded A with (x @ A)[..., t] the edge-replicated
     centered mean of x[..., t - half : t + half + 1]."""
     half = (window - 1) // 2
-    counts = np.zeros((L, L))
-    cols = np.arange(L)
-    for j in range(-half, half + 1):
-        counts[np.clip(cols + j, 0, L - 1), cols] += 1.0
-    A = counts / window
+    if L == 1:
+        A = np.ones((1, 1))
+    else:
+        # counts[i, t]: the taps of output t that read sample i; the band
+        # |i - t| <= half inside, every tap clipped onto an end at rows 0, L-1
+        t = np.arange(L)
+        counts = (np.abs(t[:, None] - t) <= half).astype(np.float64)
+        counts[0] = np.maximum(half + 1 - t, 0)
+        counts[-1] = np.maximum(half + 2 - L + t, 0)
+        A = counts / window
     A.flags.writeable = False
     return A
 

@@ -27,10 +27,16 @@ class AdamState:
         self.step_count = 0
         self.m = {k: np.zeros_like(p.data) for k, p in params.items()}
         self.v = {k: np.zeros_like(p.data) for k, p in params.items()}
+        # two scratch buffers per parameter, so that a step allocates nothing
+        self.scratch = {k: (np.empty_like(p.data), np.empty_like(p.data))
+                        for k, p in params.items()}
 
 
 def adam_step(params: dict[str, Tensor], state: AdamState, lr: float):
-    """Standard bias-corrected Adam update; grads must be populated."""
+    """Standard bias-corrected Adam update of m, v and the parameters in
+    place; grads must be populated. Every product is rounded as in
+    m = b1*m + (1-b1)*g, v = b2*v + (1-b2)*g*g and
+    p -= lr * (m/(1-b1^t)) / (sqrt(v/(1-b2^t)) + eps)."""
     state.step_count += 1
     t = state.step_count
     b1, b2 = state.beta1, state.beta2
@@ -38,17 +44,27 @@ def adam_step(params: dict[str, Tensor], state: AdamState, lr: float):
         g = p.grad
         if g is None:
             continue
-        state.m[name] = b1 * state.m[name] + (1 - b1) * g
-        state.v[name] = b2 * state.v[name] + (1 - b2) * g * g
-        mhat = state.m[name] / (1 - b1 ** t)
-        vhat = state.v[name] / (1 - b2 ** t)
-        p.data -= lr * mhat / (np.sqrt(vhat) + state.eps)
+        m, v = state.m[name], state.v[name]
+        step, denom = state.scratch[name]
+        m *= b1
+        m += np.multiply(g, 1 - b1, out=step)
+        v *= b2
+        np.multiply(g, 1 - b2, out=step)
+        step *= g
+        v += step
+        np.divide(v, 1 - b2 ** t, out=denom)
+        np.sqrt(denom, out=denom)
+        denom += state.eps
+        np.divide(m, 1 - b1 ** t, out=step)
+        step *= lr
+        step /= denom
+        p.data -= step
 
 
 def clip_gradients(params: dict[str, Tensor], max_norm: float) -> float:
     """Scale grads in place to global norm <= max_norm (if > 0); return the unclipped norm."""
     grads = [p.grad for p in params.values() if p.grad is not None]
-    norm = float(np.sqrt(sum(float((g ** 2).sum()) for g in grads)))
+    norm = float(np.sqrt(sum(float(np.vdot(g, g)) for g in grads)))
     if max_norm > 0 and norm > max_norm:
         with np.errstate(invalid="ignore"):     # an inf gradient times 0 is NaN
             for g in grads:
@@ -107,13 +123,14 @@ def evaluate(model: AdaWaveNet, dataset: Dataset, split: str,
     cfg = model.config
     xs, ys = windows(dataset, split, cfg.input_len, cfg.pred_len, cfg.task)
     total, weight = 0.0, 0.0
-    for pred, tgt, lm in _scored_batches(model, cfg.task, xs, ys, mask_spec,
-                                         cfg.sr_ratio):
-        loss = T.mse(Tensor(pred), Tensor(tgt),
-                     mask=Tensor(lm) if lm is not None else None)
-        w = lm.sum() if lm is not None else tgt.size
-        total += loss.item() * w
-        weight += w
+    with T.no_grad():
+        for pred, tgt, lm in _scored_batches(model, cfg.task, xs, ys, mask_spec,
+                                             cfg.sr_ratio):
+            loss = T.mse(Tensor(pred), Tensor(tgt),
+                         mask=Tensor(lm) if lm is not None else None)
+            w = lm.sum() if lm is not None else tgt.size
+            total += loss.item() * w
+            weight += w
     return total / weight
 
 

@@ -8,10 +8,11 @@ from pytest import approx
 import adawavenet.tensor as T
 from adawavenet.baselines import LinearBaseline, baseline_persistence
 from adawavenet.bench import (SYNTH_FRACTIONS, RunResult, aggregate,
-                              cell_configs, config_hash, evaluate_forecast,
-                              evaluate_impute, evaluate_superres, format_report,
-                              load_manifest, resolve_dataset, run_benchmark,
-                              run_cell, synth_dataset)
+                              cell_configs, cell_mask_spec, config_hash,
+                              evaluate_forecast, evaluate_impute,
+                              evaluate_superres, format_report, load_manifest,
+                              resolve_dataset, run_benchmark, run_cell,
+                              synth_dataset)
 from adawavenet.config import ConfigError, ModelConfig, TrainConfig
 from adawavenet.data import (DataError, MaskSpec, build_dataset, downsample,
                              make_mask, windows)
@@ -186,6 +187,12 @@ class TestReportAndManifest:
         assert result.config_hash == config_hash(
             ModelConfig(task=task, seed=3, **sizes), TrainConfig(max_epochs=1, seed=3))
 
+    def test_string_mask_ratio_runs(self):
+        result = run_cell({"dataset": "synth:simple", "task": "impute",
+                           "mask_ratio": "0.25", "max_epochs": 1, "levels": 2,
+                           "kernel_size": 3, "input_len": 48, "pred_len": 48}, seed=3)
+        assert result.setting == "mask=0.25:random"
+
     def test_unknown_cell_key_rejected(self):
         with pytest.raises(ConfigError,
                            match="cell synth:simple: unknown key 'learnign_rate'"):
@@ -230,6 +237,31 @@ class TestReportAndManifest:
         path = tmp_path / "m.json"
         path.write_text(text)
         with pytest.raises(ConfigError):
+            load_manifest(str(path))
+
+    @pytest.mark.parametrize("cell,expected", [
+        ({}, ("random", 0.25)), ({"mask_ratio": "0.25"}, ("random", 0.25)),
+        ({"mask_ratio": 0.5, "mask_mode": "extended"}, ("extended", 0.5))],
+        ids=["defaults", "string-ratio", "float-ratio"])
+    def test_mask_run_keys_are_typed(self, cell, expected):
+        spec = cell_mask_spec({"dataset": "synth:simple", **cell}, seed=4)
+        assert (spec.mode, spec.ratio, spec.seed) == expected + (4,)
+        assert type(spec.ratio) is float
+
+    @pytest.mark.parametrize("key,value,match", [
+        ("mask_ratio", "abc", "bad value for 'ratio'"),
+        ("mask_ratio", True, "bad value for 'ratio'"),
+        ("mask_ratio", 1.5, "mask ratio must lie in"),
+        ("mask_ratio", "nan", "mask ratio must lie in"),
+        ("mask_mode", "blocky", "unknown mask mode")],
+        ids=["non-numeric", "bool", "out-of-range", "nan", "unknown-mode"])
+    def test_bad_mask_run_key_rejected_before_any_run(self, tmp_path, key,
+                                                       value, match):
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps({"cells": [
+            {"dataset": "synth:simple", "task": "impute", "seeds": [0]},
+            {"dataset": "synth:simple", "task": "impute", "seeds": [0], key: value}]}))
+        with pytest.raises(ConfigError, match=f"cell synth:simple: .*{match}"):
             load_manifest(str(path))
 
     def test_missing_manifest_rejected(self, tmp_path):

@@ -12,7 +12,7 @@ from adawavenet import cli
 from adawavenet.bench import resolve_dataset
 from adawavenet.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, build_parser, main
 from adawavenet.data import MaskSpec, windows
-from adawavenet.model import load_checkpoint, restore_model
+from adawavenet.model import AdaWaveNet, load_checkpoint, restore_model
 from adawavenet.tensor import Tensor
 from adawavenet.train import _prepare_batch, _scored_batches
 
@@ -302,6 +302,21 @@ class TestEvalAndShowcase:
         got = read_csv_cells(os.path.join(out, "forecast.csv"))
         assert np.array_equal(got, as_cells(expected))
 
+    def test_test_window_forward_builds_no_graph(self, trained, monkeypatch):
+        config, arrays = load_checkpoint(os.path.join(trained, "model.awn"))
+        model = restore_model(config, arrays)
+        dataset = resolve_dataset("synth:simple", seed=config.seed)
+        forward, outputs = AdaWaveNet.forward, []
+
+        def spy(self, x):
+            outputs.append(forward(self, x))
+            return outputs[-1]
+
+        monkeypatch.setattr(AdaWaveNet, "forward", spy)
+        _, _, _, pred = cli._test_window(model, dataset, "forecast", -1)
+        assert [out._backward for out in outputs] == [None]
+        assert np.array_equal(pred, outputs[0].data[0])
+
     def test_superres_is_forward_of_first_test_window(self, trained, tmp_path):
         ckpt = os.path.join(trained, "model.awn")
         out = str(tmp_path / "sr")
@@ -421,8 +436,12 @@ class TestBench:
     @pytest.mark.parametrize("text", [
         '{"cells": [', None, '[{"dataset": "synth:simple"}]',
         '{"cells": [{"seeds": [0]}]}',
-        '{"cells": [{"dataset": "synth:simple", "learnign_rate": 0.5}]}'],
-        ids=["invalid-json", "missing", "list", "no-dataset", "unknown-key"])
+        '{"cells": [{"dataset": "synth:simple", "learnign_rate": 0.5}]}',
+        '{"cells": [{"dataset": "synth:simple", "task": "impute", "mask_ratio": "x"}]}',
+        '{"cells": [{"dataset": "synth:simple", "task": "impute", "mask_ratio": 2}]}',
+        '{"cells": [{"dataset": "synth:simple", "task": "impute", "mask_mode": "b"}]}'],
+        ids=["invalid-json", "missing", "list", "no-dataset", "unknown-key",
+             "non-numeric-mask-ratio", "mask-ratio-out-of-range", "unknown-mask-mode"])
     def test_malformed_manifest_is_usage_error(self, tmp_path, text, capsys):
         manifest = tmp_path / "m.json"
         if text is not None:

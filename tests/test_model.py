@@ -127,6 +127,19 @@ class TestForward:
         for k, p in model.parameters().items():
             assert np.array_equal(p.data, params[k]), k
 
+    @pytest.mark.parametrize("mode", ["learned", "tied"])
+    def test_no_grad_forward_is_bitwise_equal_and_graph_free(self, rng, mode):
+        model = AdaWaveNet(small_config(inverse_mode=mode), channels=2)
+        for p in model.parameters().values():
+            p.data += rng.normal(0.0, 0.05, p.shape)
+        x = rng.normal(size=(3, 2, 32))
+        want = model.forward(Tensor(x))
+        with T.no_grad():
+            got = model.forward(Tensor(x))
+        assert want._backward is not None
+        assert np.array_equal(got.data, want.data)
+        assert got._parents == () and got._backward is None
+
     def test_forward_deterministic(self, rng):
         model = AdaWaveNet(small_config(), channels=2)
         x = rng.normal(size=(1, 2, 32))

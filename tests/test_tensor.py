@@ -395,6 +395,77 @@ def _reference_grouped_linear_op(x, weights, biases, assignments):
     return T._make(out, (x, weights, biases), backward)
 
 
+# The ops below as they were before each backward closure skipped the
+# parents that require no gradient, kept verbatim (renamed) as oracles.
+
+def _reference_add(a, b):
+    return T._make(a.data + b.data, (a, b),
+                   lambda g: (T._unbroadcast(g, a.shape), T._unbroadcast(g, b.shape)))
+
+
+def _reference_sub(a, b):
+    return T._make(a.data - b.data, (a, b),
+                   lambda g: (T._unbroadcast(g, a.shape), T._unbroadcast(-g, b.shape)))
+
+
+def _reference_mul(a, b):
+    return T._make(a.data * b.data, (a, b),
+                   lambda g: (T._unbroadcast(g * b.data, a.shape),
+                              T._unbroadcast(g * a.data, b.shape)))
+
+
+def _reference_div(a, b):
+    return T._make(a.data / b.data, (a, b),
+                   lambda g: (T._unbroadcast(g / b.data, a.shape),
+                              T._unbroadcast(-g * a.data / b.data ** 2, b.shape)))
+
+
+def _reference_softmax(a, axis=-1):
+    z = a.data - a.data.max(axis=axis, keepdims=True)
+    e = np.exp(z)
+    s = e / e.sum(axis=axis, keepdims=True)
+
+    def backward(g):
+        inner = (g * s).sum(axis=axis, keepdims=True)
+        return ((g - inner) * s,)
+
+    return T._make(s, (a,), backward)
+
+
+def _reference_mse(pred, target, mask=None):
+    if pred.shape != target.shape:
+        raise TensorError(f"mse shape mismatch {pred.shape} vs {target.shape}")
+    diff = pred.data - target.data
+    if mask is not None:
+        m = mask.data if isinstance(mask, Tensor) else np.asarray(mask, dtype=np.float64)
+        if not np.all((m == 0) | (m == 1)):
+            raise TensorError("mse mask must be binary")
+        denom = m.sum()
+        if denom == 0:
+            raise TensorError("mse mask is empty")
+    else:
+        m = np.ones_like(diff)
+        denom = m.size
+    val = (m * diff * diff).sum() / denom
+
+    def backward(g):
+        gp = g * 2.0 * m * diff / denom
+        return (gp, -gp)
+
+    return T._make(val, (pred, target), backward)
+
+
+def _reference_matmul(a, b):
+    def backward(g):
+        if b.data.ndim == 1:
+            raise TensorError("1-D right operands unsupported")
+        ga = g @ np.swapaxes(b.data, -1, -2)
+        gb = np.swapaxes(a.data, -1, -2) @ g
+        return (T._unbroadcast(ga, a.shape), T._unbroadcast(gb, b.shape))
+
+    return T._make(a.data @ b.data, (a, b), backward)
+
+
 def _assert_close(got, want):
     """Agreement to 1e-12 relative to the magnitude of the reference; an
     all-zero reference must be matched exactly."""
@@ -403,17 +474,25 @@ def _assert_close(got, want):
                                atol=1e-12 * float(np.abs(want).max(initial=0.0)))
 
 
-def _compare_with_reference(op, reference, arrays, rng, *static):
+def _compare_with_reference(op, reference, arrays, rng, *static,
+                            requires_grad=None):
     """Forward output and every backward output of op against reference,
-    for one random upstream gradient; returns op's backward outputs."""
-    got = op(*[Tensor(a, requires_grad=True) for a in arrays], *static)
+    for one random upstream gradient; returns op's backward outputs.
+
+    requires_grad (one flag per array, default all True) marks the parents
+    that require a gradient: op must return None for the others."""
+    flags = [True] * len(arrays) if requires_grad is None else requires_grad
+    got = op(*[Tensor(a, requires_grad=f) for a, f in zip(arrays, flags)], *static)
     want = reference(*[Tensor(a, requires_grad=True) for a in arrays], *static)
     _assert_close(got.data, want.data)
     g = rng.normal(size=want.shape)
     got_grads, want_grads = got._backward(g), want._backward(g)
     assert len(got_grads) == len(want_grads) == len(arrays)
-    for gg, wg in zip(got_grads, want_grads):
-        _assert_close(gg, wg)
+    for gg, wg, f in zip(got_grads, want_grads, flags):
+        if f:
+            _assert_close(gg, wg)
+        else:
+            assert gg is None
     return got_grads
 
 
@@ -478,3 +557,123 @@ class TestDenseKernelsMatchReference:
         for assign in ([0, 2, 1], [0, -1, 1]):
             with pytest.raises(TensorError):
                 T.grouped_linear_op(x, w, b, np.array(assign))
+
+
+# which parents require a gradient: both, only the first, only the second
+FLAG_CASES = [[True, True], [True, False], [False, True]]
+
+
+class TestSkippedAdjoints:
+    """Each op returns None for a parent that requires no gradient and the
+    reference's gradient, to 1e-12 relative, for every other parent."""
+
+    @pytest.mark.parametrize("flags", FLAG_CASES)
+    @pytest.mark.parametrize("a_shape,b_shape", [
+        ((16, 7, 12), (12, 8)), ((5, 12), (12, 8)),
+        ((2, 4, 7, 6), (2, 4, 6, 7)), ((2, 4, 7, 6), (6, 3))],
+        ids=["batched-2d", "2d-2d", "batched-batched", "4d-2d"])
+    def test_matmul(self, rng, a_shape, b_shape, flags):
+        _compare_with_reference(T.matmul, _reference_matmul,
+                                [rng.normal(size=a_shape), rng.normal(size=b_shape)],
+                                rng, requires_grad=flags)
+
+    @pytest.mark.parametrize("flags", FLAG_CASES)
+    @pytest.mark.parametrize("b_shape", [(3, 4), (3, 1), ()],
+                             ids=["full", "broadcast", "scalar"])
+    @pytest.mark.parametrize("op,reference", [
+        (T.add, _reference_add), (T.sub, _reference_sub),
+        (T.mul, _reference_mul), (T.div, _reference_div)],
+        ids=["add", "sub", "mul", "div"])
+    def test_elementwise(self, rng, op, reference, b_shape, flags):
+        b = rng.uniform(0.5, 2.0, size=b_shape)
+        _compare_with_reference(op, reference, [rng.normal(size=(2, 3, 4)), b],
+                                rng, requires_grad=flags)
+
+    @pytest.mark.parametrize("flags", FLAG_CASES)
+    @pytest.mark.parametrize("masked", [False, True])
+    def test_mse(self, rng, masked, flags):
+        mask = (rng.uniform(size=(3, 5)) < 0.5).astype(float) if masked else None
+        if masked:
+            mask[0, 0] = 1.0
+        _compare_with_reference(T.mse, _reference_mse,
+                                [rng.normal(size=(3, 5)), rng.normal(size=(3, 5))],
+                                rng, mask, requires_grad=flags)
+
+    @pytest.mark.parametrize("shape,axis", [((2, 4, 7, 7), -1), ((3, 5), 0),
+                                            ((6,), -1)])
+    def test_softmax(self, rng, shape, axis):
+        _compare_with_reference(T.softmax, _reference_softmax,
+                                [3.0 * rng.normal(size=shape)], rng, axis)
+
+    @pytest.mark.parametrize("with_bias", [True, False])
+    @pytest.mark.parametrize("shape,K", DEPTHWISE_CASES)
+    def test_depthwise_conv1d_constant_input(self, rng, shape, K, with_bias):
+        C = shape[-2]
+        arrays = [rng.normal(size=shape), rng.normal(size=(C, K))]
+        if with_bias:
+            arrays.append(rng.normal(size=C))
+        _compare_with_reference(T.depthwise_conv1d, _reference_depthwise_conv1d,
+                                arrays, rng,
+                                requires_grad=[False] + [True] * (len(arrays) - 1))
+
+
+def _reference_moving_average_matrix(L, window):
+    """The per-tap loop the closed-form banded matrix replaced."""
+    half = (window - 1) // 2
+    counts = np.zeros((L, L))
+    cols = np.arange(L)
+    for j in range(-half, half + 1):
+        counts[np.clip(cols + j, 0, L - 1), cols] += 1.0
+    return counts / window
+
+
+class TestMovingAverageMatrix:
+    @pytest.mark.parametrize("L", [1, 2, 7, 96])
+    def test_bitwise_equal_to_per_tap_loop(self, L):
+        for window in range(1, 2 * L + 6, 2):
+            got = T._moving_average_matrix(L, window)
+            assert np.array_equal(got, _reference_moving_average_matrix(L, window)), window
+
+    def test_huge_window_builds_at_once(self):
+        """A window far beyond 2L-1 (seconds for the per-tap loop) only
+        replicates the edges; every column still sums to one."""
+        A = T._moving_average_matrix(96, 1_000_001)
+        assert A.shape == (96, 96)
+        np.testing.assert_allclose(A.sum(axis=0), 1.0, rtol=1e-12)
+
+
+class TestNoGrad:
+    def graph(self, rng):
+        x = Tensor(rng.normal(size=(2, 3, 8)))
+        w = Tensor(rng.normal(size=(8, 4)), requires_grad=True)
+        k = Tensor(rng.normal(size=(3, 3)), requires_grad=True)
+        h = T.tanh(T.depthwise_conv1d(x, k))
+        return T.softmax(T.mul(T.matmul(h, w), Tensor(0.5)), axis=-1)
+
+    def test_records_nothing_and_computes_the_same(self, rng):
+        state = rng.bit_generator.state
+        want = self.graph(rng)
+        rng.bit_generator.state = state
+        with T.no_grad():
+            got = self.graph(rng)
+        assert want._backward is not None and want.requires_grad
+        assert np.array_equal(got.data, want.data)
+        assert got._parents == () and got._backward is None
+        assert not got.requires_grad
+
+    def test_restored_after_nesting(self, rng):
+        w = Tensor(np.ones((2, 2)), requires_grad=True)
+        with T.no_grad():
+            with T.no_grad():
+                assert T.matmul(w, w)._backward is None
+            assert T.matmul(w, w)._backward is None
+        assert T._recording
+        assert T.matmul(w, w)._backward is not None
+
+    def test_restored_after_an_exception(self):
+        with pytest.raises(TensorError):
+            with T.no_grad():
+                T.mse(Tensor(np.zeros(2)), Tensor(np.zeros(3)))
+        assert T._recording
+        w = Tensor(np.ones((2, 2)), requires_grad=True)
+        assert T.matmul(w, w)._backward is not None

@@ -1,3 +1,4 @@
+import contextlib
 import csv
 
 import numpy as np
@@ -67,6 +68,31 @@ class TestAdam:
             adam_step(params, state, lr=0.05)
         assert np.abs(x.data - 3.0).max() < 1e-3
 
+    def test_bitwise_equal_to_out_of_place_update(self, rng):
+        """The in-place step against the out-of-place formula it replaced,
+        over several steps of random gradients."""
+        shapes = {"w": (5, 3), "b": (3,), "s": ()}
+        params = {k: Tensor(rng.normal(size=s), requires_grad=True)
+                  for k, s in shapes.items()}
+        want = {k: p.data.copy() for k, p in params.items()}
+        m = {k: np.zeros(s) for k, s in shapes.items()}
+        v = {k: np.zeros(s) for k, s in shapes.items()}
+        state = AdamState(params)
+        for t in range(1, 5):
+            for k, p in params.items():
+                p.grad = rng.normal(size=shapes[k])
+                g = p.grad
+                m[k] = 0.9 * m[k] + (1 - 0.9) * g
+                v[k] = 0.999 * v[k] + (1 - 0.999) * g * g
+                mhat = m[k] / (1 - 0.9 ** t)
+                vhat = v[k] / (1 - 0.999 ** t)
+                want[k] = want[k] - 0.01 * mhat / (np.sqrt(vhat) + 1e-8)
+            adam_step(params, state, lr=0.01)
+            for k, p in params.items():
+                assert np.array_equal(p.data, want[k]), k
+                assert np.array_equal(state.m[k], m[k])
+                assert np.array_equal(state.v[k], v[k])
+
 
 class TestClipping:
     def test_norm_reported_and_scaled(self):
@@ -82,6 +108,33 @@ class TestClipping:
         p.grad = np.array([0.3, 0.4])
         clip_gradients({"p": p}, 1.0)
         assert p.grad == approx(np.array([0.3, 0.4]))
+
+
+class TestEvaluate:
+    @pytest.mark.parametrize("task", ["forecast", "impute"])
+    def test_graph_free_and_bitwise_equal(self, rng, monkeypatch, task):
+        """Validation builds no autodiff graph, and its loss is bitwise the
+        loss of the same loop with the graph built."""
+        ds = tiny_dataset(rng)
+        model = build_model(ds, tiny_config(task=task))
+        for p in model.parameters().values():
+            p.data += rng.normal(0.0, 0.05, p.shape)
+        spec = MaskSpec("random", 0.25, seed=1) if task == "impute" else None
+        forward, graph_free = AdaWaveNet.forward, []
+
+        def spy(self, x):
+            out = forward(self, x)
+            graph_free.append(out._backward is None)
+            return out
+
+        monkeypatch.setattr(AdaWaveNet, "forward", spy)
+        got = evaluate(model, ds, "val", mask_spec=spec)
+        assert graph_free and all(graph_free)
+        graph_free.clear()
+        monkeypatch.setattr(T, "no_grad", contextlib.nullcontext)
+        want = evaluate(model, ds, "val", mask_spec=spec)
+        assert graph_free and not any(graph_free)
+        assert got == want
 
 
 class TestTrainLoop:
