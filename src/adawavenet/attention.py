@@ -14,19 +14,12 @@ from . import tensor as T
 from .tensor import Tensor
 
 
-def _trunc_identity(rows, cols):
-    m = np.zeros((rows, cols))
-    np.fill_diagonal(m, 1.0)
-    return m
-
-
 class AttentionHead:
     def __init__(self, seq_len: int, target_len: int, d_model: int, heads: int,
                  rng: np.random.Generator):
         if d_model % heads != 0:
             raise T.TensorError("d_model must be divisible by the head count")
         self.seq_len = seq_len
-        self.target_len = target_len
         self.d_model = d_model
         self.heads = heads
 
@@ -35,8 +28,8 @@ class AttentionHead:
 
         # embed/target start as mutually inverse truncated identities so the
         # layer is exactly invertible-by-construction at init
-        self.w_embed = Tensor(_trunc_identity(seq_len, d_model), requires_grad=True)
-        self.w_target = Tensor(_trunc_identity(d_model, target_len), requires_grad=True)
+        self.w_embed = Tensor(np.eye(seq_len, d_model), requires_grad=True)
+        self.w_target = Tensor(np.eye(d_model, target_len), requires_grad=True)
         self.b_target = Tensor(np.zeros(target_len), requires_grad=True)
         scale = 1.0 / np.sqrt(d_model)
         self.w_q = rand((d_model, d_model), scale)
@@ -53,14 +46,11 @@ class AttentionHead:
                 "ln_shift": self.ln_shift}
 
     def project_approximation(self, x: Tensor) -> Tensor:
-        """x: [..., C, seq_len] -> [..., C, target_len]."""
+        """x: [B, C, seq_len] -> [B, C, target_len]."""
         if x.shape[-1] != self.seq_len:
             raise T.TensorError(
                 f"expected sequences of length {self.seq_len}, got {x.shape[-1]}")
-        squeeze = x.ndim == 2
-        if squeeze:
-            x = T.reshape(x, (1,) + x.shape)
-        B, C = x.shape[0], x.shape[-2]
+        B, C = x.shape[0], x.shape[1]
         H, dh = self.heads, self.d_model // self.heads
 
         tokens = T.matmul(x, self.w_embed)                       # [B, C, d]
@@ -80,7 +70,4 @@ class AttentionHead:
         mixed = T.matmul(weights, v)                             # [B, H, C, dh]
         mixed = T.reshape(T.transpose(mixed, (0, 2, 1, 3)), (B, C, self.d_model))
         tokens = T.add(tokens, T.matmul(mixed, self.w_out))      # residual
-        out = T.add(T.matmul(tokens, self.w_target), self.b_target)
-        if squeeze:
-            out = T.reshape(out, out.shape[1:])
-        return out
+        return T.add(T.matmul(tokens, self.w_target), self.b_target)

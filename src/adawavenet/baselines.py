@@ -21,9 +21,7 @@ class LinearBaseline:
     def __init__(self, input_len: int, pred_len: int):
         self.input_len = input_len
         self.pred_len = pred_len
-        w0 = np.zeros((input_len, pred_len))
-        np.fill_diagonal(w0, 1.0)
-        self.weight = Tensor(w0, requires_grad=True)
+        self.weight = Tensor(np.eye(input_len, pred_len), requires_grad=True)
         self.bias = Tensor(np.zeros(pred_len), requires_grad=True)
 
     def parameters(self):

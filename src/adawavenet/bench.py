@@ -51,14 +51,11 @@ def config_hash(model_cfg: ModelConfig, train_cfg: TrainConfig) -> str:
     return hashlib.sha256(text.encode()).hexdigest()[:12]
 
 
-def synth_dataset(family: str, seed: int) -> Dataset:
-    signal = generate(SynthSpec(family=family, seed=seed))
-    return build_dataset([family], signal, SYNTH_FRACTIONS)
-
-
 def resolve_dataset(name: str, seed: int = 0) -> Dataset:
     if name.startswith("synth:"):
-        return synth_dataset(name.split(":", 1)[1], seed=seed)
+        family = name.split(":", 1)[1]
+        return build_dataset([family], generate(SynthSpec(family=family, seed=seed)),
+                             SYNTH_FRACTIONS)
     if not os.path.exists(name):
         raise DataError(f"dataset file not found: {name}")
     return load_csv(name)
@@ -105,8 +102,9 @@ def case_study(family: str = "simple", seed: int = 0,
     """Train on the first half of a synthetic signal and score forecasts on
     the test half against the denoised reference.
 
-    Returns a dict with model/persistence/linear MSE+MAE on the normalized
-    scale, plus the trained model and dataset.
+    Returns a dict with model/persistence/linear (MSE, MAE) on the normalized
+    scale, plus the test inputs, the denoised targets and the model's
+    predictions.
     """
     spec = SynthSpec(family=family, seed=seed, variance_shift=variance_shift,
                      step_change=step_change)
@@ -126,12 +124,10 @@ def case_study(family: str = "simple", seed: int = 0,
     _, ys = windows(replace(dataset, values=clean), "test", L, Lp, "forecast")
     preds = np.concatenate([p for p, _, _ in _scored_batches(model, "forecast",
                                                              xs, ys)])
-    result = {"model": metrics(preds, ys), "dataset": dataset,
-              "trained": model, "inputs": xs, "targets": ys, "preds": preds}
-    result["persistence"] = metrics(baseline_persistence(xs, Lp), ys)
     lin = LinearBaseline(L, Lp).fit(dataset, train_cfg)    # reads no patience
-    result["linear"] = metrics(lin.predict(xs), ys)
-    return result
+    return {"model": metrics(preds, ys), "linear": metrics(lin.predict(xs), ys),
+            "persistence": metrics(baseline_persistence(xs, Lp), ys),
+            "inputs": xs, "targets": ys, "preds": preds}
 
 
 # -- manifest-driven benchmark runs ------------------------------------------
@@ -145,12 +141,12 @@ def cell_configs(cell: dict, seed) -> tuple[ModelConfig, TrainConfig]:
 
 
 def cell_mask_spec(cell: dict, seed) -> MaskSpec:
-    """The imputation mask of a cell's run keys mask_mode (default random) and
-    mask_ratio (default 0.25), each parsed as a config field's text is; a bad
-    value is a ConfigError."""
+    """The imputation mask of a cell's run keys mask_mode and mask_ratio (the
+    MaskSpec defaults where absent), each parsed as a config field's text is;
+    a bad value is a ConfigError."""
     where = f"cell {cell['dataset']}"
-    items = [(where, "mode", cell.get("mask_mode", "random")),
-             (where, "ratio", cell.get("mask_ratio", 0.25)), ("seeds", "seed", seed)]
+    items = [(where, key, cell[f"mask_{key}"]) for key in ("mode", "ratio")
+             if f"mask_{key}" in cell] + [("seeds", "seed", seed)]
     try:
         return build((MaskSpec,), items)[0]
     except DataError as exc:

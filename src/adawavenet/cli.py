@@ -62,13 +62,16 @@ def _load_model(args):
     return model, dataset
 
 
-def _mask_spec(args, model):
-    """Imputation masks as `eval` scores them; --seed defaults to the
-    model's seed."""
-    seed = model.config.seed if args.seed is None else args.seed
-    if seed < 0:
-        raise UsageError(f"--seed {seed} must be >= 0")
-    return MaskSpec(mode=args.mask_mode, ratio=args.mask_ratio, seed=seed)
+def _mask_spec(args, seed):
+    """Imputation masks as `eval` scores them, from the --mask-* flags given and
+    --seed (default ``seed``), else the MaskSpec defaults; bad values: exit 1."""
+    items = [(f"--mask-{key}", key, value) for key, value in
+             (("mode", args.mask_mode), ("ratio", args.mask_ratio)) if value is not None]
+    items.append(("--seed", "seed", seed if args.seed is None else args.seed))
+    try:
+        return build((MaskSpec,), items)[0]
+    except DataError as exc:
+        raise UsageError(str(exc)) from None
 
 
 def _channel(args, model):
@@ -95,9 +98,9 @@ def cmd_train(args):
     if args.seed is not None:
         items.append(("--seed", "seed", args.seed))
     model_cfg, train_cfg = build((ModelConfig, TrainConfig), items)
+    mask_spec = _mask_spec(args, model_cfg.seed)
     dataset = B.resolve_dataset(args.data, seed=model_cfg.seed)
     model = build_model(dataset, model_cfg)
-    mask_spec = _mask_spec(args, model) if model_cfg.task == "impute" else None
     os.makedirs(args.out, exist_ok=True)
     log_path = os.path.join(args.out, "training_log.csv")
     history, best_val = train(model, dataset, train_cfg, mask_spec=mask_spec,
@@ -118,7 +121,7 @@ def cmd_train(args):
 
 def cmd_eval(args):
     model, dataset = _load_model(args)
-    mse, mae = B.evaluate_task(model, dataset, _mask_spec(args, model))
+    mse, mae = B.evaluate_task(model, dataset, _mask_spec(args, model.config.seed))
     print(f"task={model.config.task} test MSE={mse:.6f} MAE={mae:.6f}")
     return EXIT_OK
 
@@ -138,7 +141,7 @@ def cmd_forecast(args):
 def cmd_impute(args):
     model, dataset = _load_model(args)
     ch = _channel(args, model)
-    spec = _mask_spec(args, model)
+    spec = _mask_spec(args, model.config.seed)
     _, x, loss_mask, pred = _test_window(model, dataset, "impute", 0, mask_spec=spec)
     mask = 1.0 - loss_mask
     filled = np.where(mask == 1, x, pred)
@@ -160,6 +163,9 @@ def cmd_impute(args):
 def cmd_superres(args):
     model, dataset = _load_model(args)
     ch = _channel(args, model)
+    if args.ratio < 1 or model.config.input_len % args.ratio:
+        raise UsageError(f"--ratio {args.ratio} must be >= 1 and divide the "
+                         f"model's input_len {model.config.input_len}")
     low_res, x, _, pred = _test_window(model, dataset, "superres", 0,
                                        sr_ratio=args.ratio)
     os.makedirs(args.out, exist_ok=True)
@@ -234,8 +240,8 @@ def build_parser():
         "--seed": dict(type=int, default=None),
         "--out": dict(default="out"),
         "--quiet": dict(action="store_true"),
-        "--mask-mode": dict(default="random", choices=["random", "extended"]),
-        "--mask-ratio": dict(type=float, default=0.25),
+        "--mask-mode": dict(choices=["random", "extended"]),
+        "--mask-ratio": dict(type=float),
         "--channel": dict(type=int, default=0),
     }
 

@@ -22,15 +22,10 @@ class Dataset:
     mean: np.ndarray                   # per-channel, train split only
     std: np.ndarray
 
-    def split_values(self, split: str, normalized: bool = True) -> np.ndarray:
+    def split_values(self, split: str) -> np.ndarray:
+        """One split on the train split's normalized scale."""
         start, stop = self.splits[split]
-        vals = self.values[:, start:stop]
-        if normalized:
-            vals = (vals - self.mean[:, None]) / self.std[:, None]
-        return vals
-
-    def denormalize(self, x: np.ndarray) -> np.ndarray:
-        return x * self.std[:, None] + self.mean[:, None]
+        return (self.values[:, start:stop] - self.mean[:, None]) / self.std[:, None]
 
 
 def load_csv(path: str, split_fractions=(0.7, 0.1, 0.2)) -> Dataset:
@@ -117,8 +112,8 @@ def windows(dataset: Dataset, split: str, input_len: int, pred_len: int, task: s
 
 @dataclass
 class MaskSpec:
-    mode: str                  # "random" | "extended"
-    ratio: float
+    mode: str = "random"       # "random" | "extended"
+    ratio: float = 0.25
     seed: int = 0
 
     def validate(self):
@@ -126,6 +121,8 @@ class MaskSpec:
             raise DataError(f"unknown mask mode {self.mode!r}")
         if not 0.0 < self.ratio < 1.0:
             raise DataError("mask ratio must lie in (0, 1)")
+        if self.seed < 0:
+            raise DataError("mask seed must be >= 0")
         return self
 
 

@@ -101,20 +101,12 @@ def fit_clustering(trend_samples: np.ndarray, k: int, seed: int = 0) -> ChannelC
     return ChannelClustering(k=k, assignments=assignments, centroids=centroids)
 
 
-def wcss(points: np.ndarray, assignments: np.ndarray, centroids: np.ndarray) -> float:
-    """Within-cluster sum of squares (the k-means objective)."""
-    return float(((points - centroids[assignments]) ** 2).sum())
-
-
 class GroupedLinear:
     def __init__(self, clustering: ChannelClustering, in_len: int, out_len: int):
         self.clustering = clustering
         self.in_len = in_len
-        self.out_len = out_len
-        w0 = np.zeros((clustering.k, in_len, out_len))
-        for j in range(clustering.k):
-            np.fill_diagonal(w0[j], 1.0)
-        self.weights = Tensor(w0, requires_grad=True)
+        self.weights = Tensor(np.tile(np.eye(in_len, out_len), (clustering.k, 1, 1)),
+                              requires_grad=True)
         self.biases = Tensor(np.zeros((clustering.k, out_len)), requires_grad=True)
 
     def parameters(self):

@@ -38,7 +38,6 @@ class LiftingLevel:
     def __init__(self, channels: int, kernel_size: int):
         if kernel_size < 1:
             raise T.TensorError("kernel_size must be >= 1")
-        self.kernel_size = kernel_size
 
         def param(shape):
             return Tensor(np.zeros(shape), requires_grad=True)
@@ -60,25 +59,13 @@ class LiftingLevel:
         return ps
 
 
-class WaveletPyramid:
-    def __init__(self, approx: Tensor, details: list[Tensor], pad_flags: list[bool]):
-        self.approx = approx
-        self.details = details
-        self.pad_flags = pad_flags
-
-
-def split(x: Tensor):
-    """Polyphase split into even- and odd-indexed samples (L must be even)."""
-    return T.take_even(x), T.take_odd(x)
-
-
 def lift_forward(x: Tensor, level: LiftingLevel):
     """One analysis step; returns (approx, detail, padded), where padded
     says whether the input needed a padding sample."""
     padded = x.shape[-1] % 2 != 0
     if padded:
         x = T.pad_edge_last(x, 1)
-    even, odd = split(x)
+    even, odd = T.take_even(x), T.take_odd(x)
     detail = T.sub(odd, T.tanh(T.depthwise_conv1d(even, level.w_p, level.b_p)))
     approx = T.add(even, T.tanh(T.depthwise_conv1d(detail, level.w_u, level.b_u)))
     return approx, detail, padded
@@ -132,9 +119,9 @@ def check_depth(length: int, n_levels: int):
             f"too many levels: final length {final_len} < {MIN_FINAL_LENGTH}")
 
 
-def analyze(x: Tensor, levels: list[LiftingLevel]) -> WaveletPyramid:
-    """Apply the lifting cascade, producing the final approximation and the
-    per-level detail bands."""
+def analyze(x: Tensor, levels: list[LiftingLevel]):
+    """Apply the lifting cascade; returns (approx, details, pad_flags): the
+    final approximation and the per-level detail bands and padding flags."""
     check_depth(x.shape[-1], len(levels))
     details, flags = [], []
     cur = x
@@ -142,20 +129,21 @@ def analyze(x: Tensor, levels: list[LiftingLevel]) -> WaveletPyramid:
         cur, detail, padded = lift_forward(cur, level)
         details.append(detail)
         flags.append(padded)
-    return WaveletPyramid(cur, details, flags)
+    return cur, details, flags
 
 
-def synthesize(pyramid: WaveletPyramid, levels: list[LiftingLevel],
-               mode: str = "learned", eq9_literal: bool = False) -> Tensor:
-    """Invert the cascade from the deepest level outward.
+def synthesize(approx: Tensor, details: list[Tensor], pad_flags: list[bool],
+               levels: list[LiftingLevel], mode: str = "learned",
+               eq9_literal: bool = False) -> Tensor:
+    """Invert the cascade of analyze from the deepest level outward.
 
-    The pyramid's approximation may be a prediction replacing the analysis
-    output; the detail bands are reused unchanged.
+    The approximation may be a prediction replacing the analysis output; the
+    detail bands are reused unchanged.
     """
-    if len(levels) != len(pyramid.details):
-        raise T.TensorError("level count does not match pyramid depth")
-    cur = pyramid.approx
-    for level, detail, padded in zip(reversed(levels), reversed(pyramid.details),
-                                     reversed(pyramid.pad_flags)):
+    if len(levels) != len(details):
+        raise T.TensorError("level count does not match the number of detail bands")
+    cur = approx
+    for level, detail, padded in zip(reversed(levels), reversed(details),
+                                     reversed(pad_flags)):
         cur = lift_inverse(cur, detail, level, padded, mode, eq9_literal)
     return cur

@@ -15,7 +15,7 @@ from .config import ModelConfig, from_text, to_text
 from .data import DataError
 from .decompose import decompose
 from .grouped import ChannelClustering, GroupedLinear
-from .lifting import LiftingLevel, WaveletPyramid, analyze, synthesize
+from .lifting import LiftingLevel, analyze, synthesize
 from .tensor import Tensor
 
 CHECKPOINT_MAGIC = b"AWN1"
@@ -82,12 +82,6 @@ class AdaWaveNet:
         return {f"{prefix}.{name}": p for prefix, group in groups
                 for name, p in group.items()}
 
-    def set_passthrough_attention(self):
-        """Zero the attention mixing path so the head is embed∘target only
-        (which is the identity at init). Used for pass-through checks."""
-        for p in (self.head.w_q, self.head.w_k, self.head.w_v, self.head.w_out):
-            p.data[...] = 0.0
-
     # -- forward -------------------------------------------------------------
     def forward(self, x: Tensor) -> Tensor:
         """x: [B, C, L] -> [B, C, L_p]."""
@@ -98,10 +92,9 @@ class AdaWaveNet:
         if self.revin is not None:
             x, stats = self.revin.normalize(x)
         parts = decompose(x, cfg.ma_window)
-        pyramid = analyze(parts.seasonal, self.levels)
-        approx_hat = self.head.project_approximation(pyramid.approx)
-        predicted = WaveletPyramid(approx_hat, pyramid.details, pyramid.pad_flags)
-        seasonal_hat = synthesize(predicted, self.levels, mode=cfg.inverse_mode,
+        approx, details, pad_flags = analyze(parts.seasonal, self.levels)
+        seasonal_hat = synthesize(self.head.project_approximation(approx), details,
+                                  pad_flags, self.levels, mode=cfg.inverse_mode,
                                   eq9_literal=cfg.eq9_literal)
         trend_hat = self.trend_head.project_trend(parts.trend)
         out = T.add(seasonal_hat, trend_hat)

@@ -64,9 +64,7 @@ def _clean(spec: SynthSpec, t: np.ndarray) -> np.ndarray:
 
 def generate(spec: SynthSpec) -> np.ndarray:
     """Noisy signal with optional variance shift / step change, shape [1, n]."""
-    spec.validate()
-    t = np.linspace(0.0, 1.0, spec.n_points)
-    signal = _clean(spec, t)
+    signal = denoised_target(spec)[0]
     rng = np.random.default_rng(spec.seed)
     eps = rng.normal(0.0, spec.noise_std, spec.n_points)
     onset = spec.shift_onset

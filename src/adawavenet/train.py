@@ -62,13 +62,14 @@ def adam_step(params: dict[str, Tensor], state: AdamState, lr: float):
 
 
 def clip_gradients(params: dict[str, Tensor], max_norm: float) -> float:
-    """Scale grads in place to global norm <= max_norm (if > 0); return the unclipped norm."""
-    grads = [p.grad for p in params.values() if p.grad is not None]
-    norm = float(np.sqrt(sum(float(np.vdot(g, g)) for g in grads)))
+    """Rescale grads to global norm <= max_norm (if > 0) by replacing each .grad,
+    as leaves fed by one op may share an array; return the unclipped norm."""
+    live = [p for p in params.values() if p.grad is not None]
+    norm = float(np.sqrt(sum(float(np.vdot(p.grad, p.grad)) for p in live)))
     if max_norm > 0 and norm > max_norm:
         with np.errstate(invalid="ignore"):     # an inf gradient times 0 is NaN
-            for g in grads:
-                g *= max_norm / norm
+            for p in live:
+                p.grad = p.grad * (max_norm / norm)
     return norm
 
 

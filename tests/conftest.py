@@ -9,6 +9,14 @@ def rng():
     return np.random.default_rng(1234)
 
 
+def passthrough_attention(head):
+    """Zero an attention head's mixing path so that it is embed∘target only,
+    which is the identity at init; returns the head."""
+    for p in (head.w_q, head.w_k, head.w_v, head.w_out):
+        p.data[...] = 0.0
+    return head
+
+
 def finite_difference_grads(fn, arrays, eps=1e-5):
     """Central-difference gradients of scalar fn(*arrays) w.r.t. each array.
 

@@ -20,7 +20,7 @@ from adawavenet.synth import SynthSpec, generate
 from adawavenet.tensor import Tensor
 from adawavenet.train import build_model, train
 
-from conftest import check_grads
+from conftest import check_grads, passthrough_attention
 
 GRAD_EPS = 1e-5
 GRAD_RTOL = 1e-4
@@ -153,8 +153,7 @@ def test_criterion_2_perfect_reconstruction(rng):
                     for p in level.parameters("tied").values():
                         p.data[...] = rng.normal(0.0, 0.5, p.data.shape)
                 x = rng.normal(size=(C, L))
-                pyr = analyze(Tensor(x), levels)
-                back = synthesize(pyr, levels, mode="tied")
+                back = synthesize(*analyze(Tensor(x), levels), levels, mode="tied")
                 worst = max(worst, float(np.abs(back.data - x).max()))
                 count += 1
     elapsed = time.time() - t0
@@ -171,7 +170,7 @@ def test_criterion_3_init_passthrough(rng):
         cfg = ModelConfig(levels=4, kernel_size=7, input_len=96, pred_len=96,
                           inverse_mode=mode)
         model = AdaWaveNet(cfg, channels=3)
-        model.set_passthrough_attention()
+        passthrough_attention(model.head)
         x = rng.normal(size=(4, 3, 96))
         out = model.forward(Tensor(x))
         worst = max(worst, float(np.abs(out.data - x).max()))

@@ -11,8 +11,7 @@ from adawavenet.bench import (SYNTH_FRACTIONS, RunResult, aggregate,
                               cell_configs, cell_mask_spec, config_hash,
                               evaluate_forecast, evaluate_impute,
                               evaluate_superres, format_report, load_manifest,
-                              resolve_dataset, run_benchmark, run_cell,
-                              synth_dataset)
+                              resolve_dataset, run_benchmark, run_cell)
 from adawavenet.config import ConfigError, ModelConfig, TrainConfig
 from adawavenet.data import (DataError, MaskSpec, build_dataset, downsample,
                              make_mask, windows)
@@ -98,7 +97,7 @@ class TestRunResult:
 
 class TestSynthDataset:
     def test_fractions_give_half_test(self):
-        ds = synth_dataset("simple", seed=0)
+        ds = resolve_dataset("synth:simple", seed=0)
         assert ds.splits["train"] == (0, 320)
         assert ds.splits["val"] == (320, 512)
         assert ds.splits["test"] == (512, 1024)

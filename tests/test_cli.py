@@ -12,7 +12,9 @@ from adawavenet import cli
 from adawavenet.bench import resolve_dataset
 from adawavenet.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, build_parser, main
 from adawavenet.data import MaskSpec, windows
-from adawavenet.model import AdaWaveNet, load_checkpoint, restore_model
+from adawavenet.config import ModelConfig
+from adawavenet.model import (AdaWaveNet, load_checkpoint, model_state,
+                              restore_model, save_checkpoint)
 from adawavenet.tensor import Tensor
 from adawavenet.train import _prepare_batch, _scored_batches
 
@@ -186,6 +188,18 @@ class TestTrain:
         assert code == EXIT_DATA
         assert one_line_error(capsys, "data error:")
 
+    @pytest.mark.parametrize("ratio", ["1.5", "0", "nan"])
+    def test_bad_mask_ratio_is_usage_error(self, tmp_path, ratio, capsys):
+        """Checked before the data is loaded, so nothing is written."""
+        cfg = tmp_path / "impute.txt"
+        cfg.write_text(SMALL + "task=impute\n")
+        out = tmp_path / "o"
+        code = main(["train", "--data", "synth:simple", "--config", str(cfg),
+                     "--out", str(out), "--quiet", "--mask-ratio", ratio])
+        assert code == EXIT_USAGE
+        assert one_line_error(capsys, "usage error: mask ratio")
+        assert not out.exists()
+
     def test_missing_subcommand_is_usage_error(self):
         assert main([]) == EXIT_USAGE
 
@@ -271,6 +285,34 @@ class TestEvalAndShowcase:
         assert code == EXIT_USAGE
         assert one_line_error(capsys, "usage error:")
         assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["eval", "impute"])
+    @pytest.mark.parametrize("ratio", ["1.5", "0", "nan"])
+    def test_bad_mask_ratio_is_usage_error(self, trained, tmp_path, command,
+                                           ratio, capsys):
+        """Rejected for a forecast checkpoint too, as --seed -1 is."""
+        out = tmp_path / "o"
+        code = main([command, "--data", "synth:simple", "--checkpoint",
+                     os.path.join(trained, "model.awn"), "--mask-ratio", ratio]
+                    + ([] if command == "eval" else ["--out", str(out)]))
+        assert code == EXIT_USAGE
+        assert one_line_error(capsys, "usage error: mask ratio")
+        assert not out.exists()
+
+    def test_superres_ratio_must_divide_input_len(self, tmp_path, capsys):
+        """Checked against the checkpoint's 96-sample window before any file
+        is written; the whole window (r=96) is a valid ratio."""
+        cfg = ModelConfig(levels=2, d_model=16, heads=4)
+        path = str(tmp_path / "m.awn")
+        save_checkpoint(path, cfg, model_state(AdaWaveNet(cfg, channels=1)))
+        out = tmp_path / "o"
+        argv = ["superres", "--data", "synth:simple", "--checkpoint", path,
+                "--out", str(out), "--ratio"]
+        for ratio in ("0", "-2", "5"):
+            assert main(argv + [ratio]) == EXIT_USAGE
+            assert one_line_error(capsys, f"usage error: --ratio {ratio}")
+            assert not out.exists()
+        assert main(argv + ["96"]) == EXIT_OK
 
     @pytest.mark.parametrize("command", ["eval", "impute"])
     def test_negative_seed_is_usage_error(self, trained, tmp_path, command,

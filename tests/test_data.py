@@ -109,11 +109,6 @@ class TestBuildDataset:
         assert train.mean(axis=1) == approx(np.zeros(1), abs=1e-12)
         assert train.std(axis=1) == approx(np.ones(1))
 
-    def test_denormalize_round_trip(self, rng):
-        ds = build_dataset(["x", "y"], rng.normal(5, 3, size=(2, 50)), (0.7, 0.1, 0.2))
-        test = ds.split_values("test")
-        assert ds.denormalize(test) == approx(ds.split_values("test", normalized=False))
-
     def test_constant_channel_warns_and_survives(self):
         data = np.vstack([np.ones(40), np.arange(40.0)])
         with pytest.warns(UserWarning):
@@ -156,8 +151,8 @@ class TestWindows:
         data[:, 50:] = 1e6        # sentinel values in the second half
         ds = build_dataset(["x"], data, (0.5, 0.0, 0.5))
         xs, ys = windows(ds, "train", 10, 5, "forecast")
-        assert np.all(ds.denormalize(xs) < 1e5)
-        assert np.all(ds.denormalize(ys) < 1e5)
+        assert np.all(xs * ds.std[:, None] + ds.mean[:, None] < 1e5)
+        assert np.all(ys * ds.std[:, None] + ds.mean[:, None] < 1e5)
 
 
 class TestMasks:
@@ -207,6 +202,10 @@ class TestMasks:
             make_mask(MaskSpec("random", 0.0), (1, 32))
         with pytest.raises(DataError):
             make_mask(MaskSpec("random", 1.0), (1, 32))
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(DataError, match="seed"):
+            MaskSpec(seed=-1).validate()
 
     @settings(max_examples=30, deadline=None)
     @given(st.sampled_from([0.125, 0.25, 0.375, 0.5]),

@@ -6,8 +6,13 @@ from pytest import approx
 
 from adawavenet.grouped import (ChannelClustering, ClusteringError,
                                 GroupedLinear, channel_features, fit_clustering,
-                                kmeans, wcss)
+                                kmeans)
 from adawavenet.tensor import Tensor
+
+
+def wcss(points, assignments, centroids):
+    """Within-cluster sum of squares (the k-means objective)."""
+    return float(((points - centroids[assignments]) ** 2).sum())
 
 
 def brute_force_best_wcss(points, k):

@@ -1,0 +1,78 @@
+"""The library defines only what the program uses.
+
+Parses ``src/adawavenet/*.py``, ``scripts/*.py`` and ``perfbench/*.py`` (read
+only) and requires every module-level function or class, and every
+non-dunder method, defined in the library to be referenced somewhere in those
+files outside its own definition: as a name, an attribute, a string or an
+import. Tests do not count, so a helper that only tests call fails here.
+
+The check goes by name alone: a definition whose name is shared with a used
+definition (a second class's ``parameters`` method, say) is not caught.
+"""
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+LIBRARY = sorted((ROOT / "src" / "adawavenet").glob("*.py"))
+PROGRAM = (LIBRARY + sorted((ROOT / "scripts").glob("*.py"))
+           + sorted((ROOT / "perfbench").glob("*.py")))
+
+# definitions kept although nothing in the program refers to them
+ALLOWED = {
+    "tsum",             # the loss reducer of the criterion-1 gradient battery
+    "_Parser.error",    # called by argparse
+}
+
+FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
+
+
+def definitions(tree):
+    """(qualified name, node) of the module-level functions and classes and
+    of their non-dunder methods."""
+    for node in tree.body:
+        if isinstance(node, FUNCTIONS + (ast.ClassDef,)):
+            yield node.name, node
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, FUNCTIONS) and not (
+                        item.name.startswith("__") and item.name.endswith("__")):
+                    yield f"{node.name}.{item.name}", item
+
+
+def references(node, inside=()):
+    """(name, ids of the enclosing definitions) of every name, attribute,
+    string constant and imported name under node."""
+    if isinstance(node, FUNCTIONS + (ast.ClassDef,)):
+        inside = inside + (id(node),)
+    if isinstance(node, ast.Name):
+        yield node.id, inside
+    elif isinstance(node, ast.Attribute):
+        yield node.attr, inside
+    elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+        yield node.value, inside
+    elif isinstance(node, ast.alias):
+        yield node.name.rsplit(".", 1)[-1], inside
+        if node.asname:
+            yield node.asname, inside
+    for child in ast.iter_child_nodes(node):
+        yield from references(child, inside)
+
+
+def unused_definitions():
+    trees = {path: ast.parse(path.read_text(encoding="utf-8"), str(path))
+             for path in PROGRAM}
+    refs = {}
+    for tree in trees.values():
+        for name, inside in references(tree):
+            refs.setdefault(name, []).append(set(inside))
+    unused = []
+    for path in LIBRARY:
+        for qualname, node in definitions(trees[path]):
+            if not any(id(node) not in inside for inside in refs.get(node.name, [])):
+                unused.append(qualname)
+    return unused
+
+
+def test_every_library_definition_is_used_by_the_program():
+    """Exactly the ALLOWED definitions are unused, so a stale entry fails too."""
+    assert sorted(unused_definitions()) == sorted(ALLOWED)

@@ -3,9 +3,8 @@ import pytest
 from pytest import approx
 
 import adawavenet.tensor as T
-from adawavenet.lifting import (LiftingLevel, WaveletPyramid, analyze,
-                                final_length, lift_forward, lift_inverse, split,
-                                synthesize)
+from adawavenet.lifting import (LiftingLevel, analyze, final_length,
+                                lift_forward, lift_inverse, synthesize)
 from adawavenet.tensor import Tensor, TensorError
 
 
@@ -24,7 +23,7 @@ def lift_forward_scalar_oracle(x, level):
         x = np.concatenate([x, x[:, -1:]], axis=1)
         L += 1
     even, odd = x[:, 0::2], x[:, 1::2]
-    K = level.kernel_size
+    K = level.w_p.shape[1]
     pl = (K - 1) // 2
 
     def dwconv(sig, w, b):
@@ -42,6 +41,10 @@ def lift_forward_scalar_oracle(x, level):
     detail = odd - np.tanh(dwconv(even, level.w_p, level.b_p))
     approx_ = even + np.tanh(dwconv(detail, level.w_u, level.b_u))
     return approx_, detail
+
+
+def split(x):
+    return T.take_even(x), T.take_odd(x)
 
 
 class TestSplit:
@@ -135,7 +138,7 @@ class TestLearnedInverse:
         # using the adjoint correlation the transposed conv implements
         def dwconv_t(sig, w, b):
             ref = np.zeros_like(sig)
-            K = level.kernel_size
+            K = level.w_p_t.shape[1]
             pl = (K - 1) // 2
             for t in range(sig.shape[1]):
                 for k in range(K):
@@ -153,24 +156,25 @@ class TestLearnedInverse:
 class TestCascade:
     def test_shape_law_single_level(self, rng):
         levels = [LiftingLevel(1, 3)]
-        pyr = analyze(Tensor(rng.normal(size=(1, 8))), levels)
-        assert pyr.approx.shape == (1, 4)
-        assert pyr.details[0].shape == (1, 4)
+        approx_, details, _ = analyze(Tensor(rng.normal(size=(1, 8))), levels)
+        assert approx_.shape == (1, 4)
+        assert details[0].shape == (1, 4)
 
     def test_shape_law_three_levels(self, rng):
         levels = [LiftingLevel(1, 3) for _ in range(3)]
-        pyr = analyze(Tensor(rng.normal(size=(1, 96))), levels)
-        assert pyr.approx.shape == (1, 12)
-        assert [d.shape[-1] for d in pyr.details] == [48, 24, 12]
+        approx_, details, _ = analyze(Tensor(rng.normal(size=(1, 96))), levels)
+        assert approx_.shape == (1, 12)
+        assert [d.shape[-1] for d in details] == [48, 24, 12]
 
     def test_element_count_conservation(self, rng):
         for L in (96, 100, 89):
             levels = [randomize(LiftingLevel(2, 5), rng) for _ in range(3)]
-            pyr = analyze(Tensor(rng.normal(size=(2, L))), levels)
-            count = pyr.approx.size + sum(d.size for d in pyr.details)
+            approx_, details, pad_flags = analyze(Tensor(rng.normal(size=(2, L))),
+                                                  levels)
+            count = approx_.size + sum(d.size for d in details)
             pad_correction = 0
             cur = L
-            for flag in pyr.pad_flags:
+            for flag in pad_flags:
                 if flag:
                     pad_correction += 2  # one padded sample per channel
                 cur = (cur + 1) // 2
@@ -193,29 +197,26 @@ class TestCascade:
         for L in (96, 89):
             levels = [randomize(LiftingLevel(2, 7), rng) for _ in range(3)]
             x = rng.normal(size=(2, L))
-            pyr = analyze(Tensor(x), levels)
-            back = synthesize(pyr, levels, mode="tied")
+            back = synthesize(*analyze(Tensor(x), levels), levels, mode="tied")
             assert np.abs(back.data - x).max() < 1e-10
 
     def test_learned_zero_init_round_trip(self, rng):
         levels = [LiftingLevel(2, 7) for _ in range(3)]
         x = rng.normal(size=(2, 96))
-        pyr = analyze(Tensor(x), levels)
-        back = synthesize(pyr, levels, mode="learned")
+        back = synthesize(*analyze(Tensor(x), levels), levels, mode="learned")
         assert np.abs(back.data - x).max() < 1e-12
 
     def test_level_count_mismatch_rejected(self, rng):
         levels = [randomize(LiftingLevel(1, 3), rng) for _ in range(2)]
-        pyr = analyze(Tensor(rng.normal(size=(1, 32))), levels)
+        approx_, details, pad_flags = analyze(Tensor(rng.normal(size=(1, 32))), levels)
         with pytest.raises(TensorError):
-            synthesize(WaveletPyramid(pyr.approx, pyr.details[:1], pyr.pad_flags[:1]),
-                       levels)
+            synthesize(approx_, details[:1], pad_flags[:1], levels)
 
     def test_unknown_inverse_mode_rejected(self, rng):
         levels = [LiftingLevel(1, 3)]
-        pyr = analyze(Tensor(rng.normal(size=(1, 16))), levels)
+        pyramid = analyze(Tensor(rng.normal(size=(1, 16))), levels)
         with pytest.raises(TensorError, match="inverse mode"):
-            synthesize(pyr, levels, mode="bogus")
+            synthesize(*pyramid, levels, mode="bogus")
 
     def test_eq9_literal_ignored_in_tied_mode(self, rng):
         level = randomize(LiftingLevel(1, 3), rng)
@@ -227,8 +228,7 @@ class TestCascade:
     def test_gradients_reach_every_kernel(self, rng):
         levels = [LiftingLevel(2, 5) for _ in range(2)]
         x = Tensor(rng.normal(size=(2, 32)))
-        pyr = analyze(x, levels)
-        back = synthesize(pyr, levels, mode="learned")
+        back = synthesize(*analyze(x, levels), levels, mode="learned")
         loss = T.mse(back, Tensor(rng.normal(size=(2, 32))))
         loss.backward()
         for level in levels:

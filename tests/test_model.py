@@ -17,6 +17,8 @@ from adawavenet.model import (AdaWaveNet, RevIN, load_checkpoint, model_state,
 from adawavenet.tensor import Tensor, TensorError
 from adawavenet.train import _prepare_batch
 
+from conftest import passthrough_attention
+
 
 def small_config(**kw):
     base = dict(levels=2, kernel_size=3, input_len=32, pred_len=32,
@@ -67,14 +69,14 @@ class TestForward:
         """With the attention mixing path zeroed, every stage is the identity
         at init, so the whole network must reproduce its input."""
         model = AdaWaveNet(small_config(), channels=2)
-        model.set_passthrough_attention()
+        passthrough_attention(model.head)
         x = rng.normal(size=(3, 2, 32))
         out = model.forward(Tensor(x))
         assert np.abs(out.data - x).max() < 1e-10
 
     def test_passthrough_tied_mode(self, rng):
         model = AdaWaveNet(small_config(inverse_mode="tied"), channels=2)
-        model.set_passthrough_attention()
+        passthrough_attention(model.head)
         x = rng.normal(size=(1, 2, 32))
         assert np.abs(model.forward(Tensor(x)).data - x).max() < 1e-10
 
@@ -82,7 +84,7 @@ class TestForward:
         """RevIN removes the per-window mean, so at pass-through init a
         constant channel offset must survive the round trip exactly."""
         model = AdaWaveNet(small_config(), channels=2)
-        model.set_passthrough_attention()
+        passthrough_attention(model.head)
         x = rng.normal(size=(2, 2, 32))
         base = model.forward(Tensor(x)).data
         shifted = model.forward(Tensor(x + 100.0)).data

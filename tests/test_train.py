@@ -14,6 +14,8 @@ from adawavenet.tensor import Tensor
 from adawavenet.train import (AdamState, NumericalError, adam_step, build_model,
                               clip_gradients, evaluate, train)
 
+from conftest import passthrough_attention
+
 
 def tiny_dataset(rng, channels=2, total=400, fractions=(0.5, 0.25, 0.25)):
     t = np.arange(total) / 24.0
@@ -102,6 +104,17 @@ class TestClipping:
         assert norm == approx(5.0)
         assert np.linalg.norm(p.grad) == approx(1.0)
         assert p.grad == approx(np.array([0.6, 0.8]))
+
+    def test_leaves_sharing_one_gradient_array_are_clipped_once(self):
+        """add passes its upstream gradient to both parents, so p.grad is
+        q.grad; the global norm after clipping is still exactly max_norm."""
+        p, q = (Tensor(np.ones(3), requires_grad=True) for _ in range(2))
+        T.mse(T.add(p, q), Tensor(np.zeros(3))).backward()
+        assert p.grad is q.grad
+        unclipped = float(np.sqrt(np.vdot(p.grad, p.grad) + np.vdot(q.grad, q.grad)))
+        params = {"p": p, "q": q}
+        assert clip_gradients(params, 1.0) == unclipped
+        assert np.sqrt(np.vdot(p.grad, p.grad) + np.vdot(q.grad, q.grad)) == approx(1.0)
 
     def test_below_threshold_untouched(self):
         p = Tensor(np.zeros(2), requires_grad=True)
@@ -198,7 +211,7 @@ class TestTrainLoop:
         exactly, so the masked loss dwarfs the unmasked residual."""
         ds = tiny_dataset(rng)
         model = build_model(ds, tiny_config(task="impute"))
-        model.set_passthrough_attention()
+        passthrough_attention(model.head)
         spec = MaskSpec("random", 0.25, seed=0)
         loss = evaluate(model, ds, "val", mask_spec=spec)
         assert loss > 1e-4   # masked positions are genuinely wrong at init
