@@ -37,9 +37,12 @@ class ModelConfig:
         if self.inverse_mode not in INVERSE_MODES:
             raise ConfigError(f"unknown inverse mode {self.inverse_mode!r}")
         for name, low in (("levels", 1), ("kernel_size", 1), ("n_clusters", 1),
-                          ("seed", 0)):
+                          ("sr_ratio", 1), ("seed", 0)):
             if getattr(self, name) < low:
                 raise ConfigError(f"{name} must be >= {low}")
+        if self.task == "superres" and self.input_len % self.sr_ratio != 0:
+            raise ConfigError(
+                f"sr_ratio {self.sr_ratio} does not divide input_len {self.input_len}")
         if self.pred_len != self.input_len:
             raise ConfigError(
                 "pred_len must equal input_len (the architecture aligns analysis "

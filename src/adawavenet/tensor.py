@@ -7,6 +7,7 @@ finite differences in the test suite.
 from __future__ import annotations
 
 import functools
+import math
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -348,70 +349,129 @@ def _pads(K):
     return (K - 1) // 2, K - 1 - (K - 1) // 2
 
 
-def _zero_pad_last(x, pl, pr):
-    xp = np.zeros(x.shape[:-1] + (x.shape[-1] + pl + pr,))
-    xp[..., pl:pl + x.shape[-1]] = x
-    return xp
+# Both convolutions are x[c] @ B_c (the transpose: x[c] @ B_c^T) with B_c the
+# [L, L] band of channel c's kernel. The product has two implementations with
+# the same signature: a sliding-window einsum at O(N C L K), and a batched
+# GEMM with the bands at O(N C L^2) plus O(C L^2) to build them. The kernel
+# gradient sums the K band diagonals of u_c^T v_c, with (u, v) = (x, g) for
+# the convolution and (g, x) for its transpose.
 
 
-def _depthwise_correlate(x, kernels, pl, pr):
-    """Zero-pad x[..., C, L] by (pl, pr) and correlate each channel with its
-    row of kernels[C, K]; returns the output and the [N, C, L, K] window view
-    of the padded input, N the product of the leading axes."""
-    xp = _zero_pad_last(x.reshape((-1,) + x.shape[-2:]), pl, pr)
-    win = sliding_window_view(xp, kernels.shape[1], axis=-1)
-    return np.einsum("nclk,ck->ncl", win, kernels).reshape(x.shape), win
+def _window_product(a, kernels, flip):
+    """a[..., C, L] times each channel's band (flip: its transpose), as a
+    correlation over the [N, C, L, K] sliding windows of the zero-padded
+    input, N the product of the leading axes."""
+    pl, pr = _pads(kernels.shape[1])
+    if flip:
+        kernels, pl, pr = kernels[:, ::-1], pr, pl
+    win = _windows(a, kernels.shape[1], pl, pr)
+    return np.einsum("nclk,ck->ncl", win, kernels).reshape(a.shape)
+
+
+def _windows(a, K, pl, pr):
+    """[N, C, L, K] sliding windows of a[..., C, L] zero-padded by (pl, pr)."""
+    a = a.reshape((-1,) + a.shape[-2:])
+    ap = np.zeros(a.shape[:-1] + (a.shape[-1] + pl + pr,))
+    ap[..., pl:pl + a.shape[-1]] = a
+    return sliding_window_view(ap, K, axis=-1)
+
+
+def _band_product(a, kernels, flip):
+    """a[..., C, L] times each channel's band (flip: its transpose), as one
+    batched GEMM. The bands are built anew on each call, so a graph keeps no
+    [C, L, L] array alive."""
+    out = np.empty(a.shape)
+    np.matmul(_channel_major(a), _bands(kernels, a.shape[-1], flip),
+              out=_channel_major(out))
+    return out
+
+
+def _kernel_grad(u, v, K):
+    """Diagonal sums of u_c^T v_c for u, v [..., C, L] as one batched GEMM
+    and one GEMM against the one-hot map of the band diagonals: [C, K]."""
+    C, L = u.shape[-2:]
+    M = _channel_major(u).swapaxes(1, 2) @ _channel_major(v)
+    return M.reshape(C, L * L) @ _band_taps(L, K)
+
+
+def _channel_major(a):
+    """View of a[..., C, L] as [C, N, L]."""
+    return a.reshape((-1,) + a.shape[-2:]).swapaxes(0, 1)
+
+
+@functools.lru_cache(maxsize=16)
+def _band_index(L, K):
+    """Read-only [L, L] index into a kernel row with one zero appended:
+    i - t + (K-1)//2 inside the band, K (the zero) outside it."""
+    t = np.arange(L)
+    idx = t[:, None] - t + (K - 1) // 2
+    idx[(idx < 0) | (idx >= K)] = K
+    idx.flags.writeable = False
+    return idx
+
+
+@functools.lru_cache(maxsize=16)
+def _band_taps(L, K):
+    """Read-only [L*L, K] one-hot map from the entries of an [L, L] band to
+    its K taps: a product with it sums each band diagonal."""
+    H = (_band_index(L, K).reshape(-1, 1) == np.arange(K)).astype(np.float64)
+    H.flags.writeable = False
+    return H
+
+
+def _bands(kernels, L, flip):
+    """[C, L, L] bands B with (x @ B[c])[t] = sum_k kernels[c, k] *
+    x[t + k - (K-1)//2], x zero outside [0, L): the correlation as a matrix.
+    flip gathers each B[c]^T instead, as a contiguous array."""
+    row = np.zeros((kernels.shape[0], kernels.shape[1] + 1))
+    row[:, :-1] = kernels
+    idx = _band_index(L, kernels.shape[1])
+    return row.take(idx.T if flip else idx, axis=1)
+
+
+def _depthwise(x, kernels, bias, transpose, name):
+    """x[..., C, L] times each channel's band (transpose: its transpose),
+    plus bias. The bands run once the batch pays for building them, N*K >= L
+    with N the product of the leading axes; a smaller batch runs the
+    sliding-window einsum; the rule was measured only for L <= 48. The
+    kernel gradient always runs as GEMMs: a backward pass runs in training,
+    whose batches are on the band side."""
+    C, K = kernels.shape
+    if x.shape[-2] != C:
+        raise TensorError(f"{name}: channels {x.shape[-2]} != {C}")
+    banded = math.prod(x.shape[:-2]) * K >= x.shape[-1]
+    product = _band_product if banded else _window_product
+    out = product(x.data, kernels.data, transpose)
+    if bias is not None:
+        out += bias.data[:, None]
+
+    def backward(g):
+        u, v = (g, x.data) if transpose else (x.data, g)
+        grads = [product(g, kernels.data, not transpose) if x.requires_grad else None,
+                 _kernel_grad(u, v, K)]
+        if bias is not None:
+            grads.append(g.sum(axis=tuple(range(g.ndim - 2)) + (g.ndim - 1,)))
+        return tuple(grads)
+
+    parents = (x, kernels) if bias is None else (x, kernels, bias)
+    return _make(out, parents, backward)
 
 
 def depthwise_conv1d(x, kernels, bias=None):
-    """Per-channel cross-correlation as one sliding-window einsum:
-    x[..., C, L], kernels[C, K] -> [..., C, L].
+    """Per-channel cross-correlation: x[..., C, L], kernels[C, K] ->
+    [..., C, L].
 
     Even K is allowed; the zero padding is then asymmetric ((K-1)//2 left,
     K//2 right), which keeps the map linear and exactly invertible inside the
     lifting blocks.
     """
-    C, K = kernels.shape
-    if x.shape[-2] != C:
-        raise TensorError(f"depthwise_conv1d: channels {x.shape[-2]} != {C}")
-    pl, pr = _pads(K)
-    out, win = _depthwise_correlate(x.data, kernels.data, pl, pr)
-    if bias is not None:
-        out += bias.data[:, None]
-
-    def backward(g):
-        gx = None
-        if x.requires_grad:
-            gx, _ = _depthwise_correlate(g, kernels.data[:, ::-1], pr, pl)
-        grads = [gx, np.einsum("ncl,nclk->ck", g.reshape(win.shape[:-1]), win)]
-        if bias is not None:
-            grads.append(g.sum(axis=tuple(range(g.ndim - 2)) + (g.ndim - 1,)))
-        return tuple(grads)
-
-    parents = (x, kernels) if bias is None else (x, kernels, bias)
-    return _make(out, parents, backward)
+    return _depthwise(x, kernels, bias, False, "depthwise_conv1d")
 
 
 def depthwise_conv_transpose1d(x, kernels, bias=None):
-    """Adjoint of depthwise_conv1d under the same padding convention: the same
-    sliding-window correlation with the kernel reversed and the pads swapped."""
-    C, K = kernels.shape
-    if x.shape[-2] != C:
-        raise TensorError(f"depthwise_conv_transpose1d: channels {x.shape[-2]} != {C}")
-    pl, pr = _pads(K)
-    out, _ = _depthwise_correlate(x.data, kernels.data[:, ::-1], pr, pl)
-    if bias is not None:
-        out += bias.data[:, None]
-
-    def backward(g):
-        gx, win = _depthwise_correlate(g, kernels.data, pl, pr)
-        grads = [gx, np.einsum("ncl,nclk->ck", x.data.reshape(win.shape[:-1]), win)]
-        if bias is not None:
-            grads.append(g.sum(axis=tuple(range(g.ndim - 2)) + (g.ndim - 1,)))
-        return tuple(grads)
-
-    parents = (x, kernels) if bias is None else (x, kernels, bias)
-    return _make(out, parents, backward)
+    """Adjoint of depthwise_conv1d under the same padding convention: the
+    correlation with the kernel reversed and the pads swapped."""
+    return _depthwise(x, kernels, bias, True, "depthwise_conv_transpose1d")
 
 
 @functools.lru_cache(maxsize=8)

@@ -1,6 +1,7 @@
 import argparse
 import ast
 import csv
+import dataclasses
 import inspect
 import json
 import os
@@ -127,6 +128,19 @@ class TestTrain:
         assert code == EXIT_USAGE
         err = capsys.readouterr().err
         assert err.startswith("usage error:") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("line", ["sr_ratio=0", "sr_ratio=5"])
+    def test_bad_sr_ratio_is_usage_error(self, tmp_path, line, capsys):
+        """Rejected with the config, before anything is fitted or written:
+        5 does not divide input_len=48."""
+        cfg = tmp_path / "superres.txt"
+        cfg.write_text(SMALL + "task=superres\n" + line + "\n")
+        out = tmp_path / "o"
+        code = main(["train", "--data", "synth:simple", "--config", str(cfg),
+                     "--out", str(out), "--quiet"])
+        assert code == EXIT_USAGE
+        assert one_line_error(capsys, "usage error: sr_ratio")
+        assert not out.exists()
 
     def test_config_line_without_equals_is_usage_error(self, tmp_path, capsys):
         """Neither line sets anything, so neither may be dropped silently."""
@@ -313,6 +327,15 @@ class TestEvalAndShowcase:
             assert one_line_error(capsys, f"usage error: --ratio {ratio}")
             assert not out.exists()
         assert main(argv + ["96"]) == EXIT_OK
+
+    def test_checkpoint_with_bad_sr_ratio_is_data_error(self, tmp_path, capsys):
+        """A header value that validation rejects makes a bad checkpoint."""
+        cfg = ModelConfig(levels=2, d_model=16, heads=4)
+        path = str(tmp_path / "m.awn")
+        save_checkpoint(path, dataclasses.replace(cfg, sr_ratio=0),
+                        model_state(AdaWaveNet(cfg, channels=1)))
+        assert main(["eval", "--data", "synth:simple", "--checkpoint", path]) == EXIT_DATA
+        assert one_line_error(capsys, "data error:")
 
     @pytest.mark.parametrize("command", ["eval", "impute"])
     def test_negative_seed_is_usage_error(self, trained, tmp_path, command,

@@ -163,7 +163,8 @@ class TestConfig:
         with pytest.raises(ConfigError):
             ModelConfig(levels=6, input_len=96, pred_len=96).validate()
 
-    @pytest.mark.parametrize("field", ["levels", "kernel_size", "n_clusters"])
+    @pytest.mark.parametrize("field", ["levels", "kernel_size", "n_clusters",
+                                       "sr_ratio"])
     def test_sizes_below_one_rejected(self, field):
         with pytest.raises(ConfigError, match=field):
             ModelConfig(**{field: 0}).validate()
@@ -172,6 +173,18 @@ class TestConfig:
     def test_train_sizes_below_one_rejected(self, field):
         with pytest.raises(ConfigError, match=field):
             TrainConfig(**{field: 0}).validate()
+
+    def test_sr_ratio_must_divide_input_len_for_superres(self):
+        """Only super-resolution reads the ratio, so only it needs the
+        division; every task rejects a ratio below one."""
+        def cfg(task, ratio):
+            return ModelConfig(task=task, levels=2, input_len=48, pred_len=48,
+                               sr_ratio=ratio)
+
+        cfg("superres", 4).validate()
+        cfg("forecast", 5).validate()
+        with pytest.raises(ConfigError, match="sr_ratio 5 does not divide input_len 48"):
+            cfg("superres", 5).validate()
 
     def test_negative_learning_rate_rejected(self):
         TrainConfig(learning_rate=0.0).validate()

@@ -497,10 +497,12 @@ def _compare_with_reference(op, reference, arrays, rng, *static,
 
 
 # (x shape, K): default cell at the first lifting level, B=1, unbatched,
-# even K, odd L, L shorter than K, and Electricity's channel count.
+# even K, odd L, L shorter than K, Electricity's channel count, and the two
+# sides of the kernel choice: N*K = L runs the bands, N*K = L - 1 the
+# sliding-window einsum.
 DEPTHWISE_CASES = [((16, 7, 48), 7), ((1, 7, 48), 7), ((7, 48), 7),
                    ((16, 7, 48), 4), ((16, 7, 47), 7), ((2, 3, 4), 7),
-                   ((4, 321, 48), 7)]
+                   ((4, 321, 48), 7), ((4, 7, 28), 7), ((4, 7, 29), 7)]
 
 
 class TestDenseKernelsMatchReference:
@@ -608,13 +610,69 @@ class TestSkippedAdjoints:
     @pytest.mark.parametrize("with_bias", [True, False])
     @pytest.mark.parametrize("shape,K", DEPTHWISE_CASES)
     def test_depthwise_conv1d_constant_input(self, rng, shape, K, with_bias):
+        """Both depthwise ops with an input that requires no gradient."""
         C = shape[-2]
-        arrays = [rng.normal(size=shape), rng.normal(size=(C, K))]
-        if with_bias:
-            arrays.append(rng.normal(size=C))
-        _compare_with_reference(T.depthwise_conv1d, _reference_depthwise_conv1d,
-                                arrays, rng,
-                                requires_grad=[False] + [True] * (len(arrays) - 1))
+        for op, reference in ((T.depthwise_conv1d, _reference_depthwise_conv1d),
+                              (T.depthwise_conv_transpose1d,
+                               _reference_depthwise_conv_transpose1d)):
+            arrays = [rng.normal(size=shape), rng.normal(size=(C, K))]
+            if with_bias:
+                arrays.append(rng.normal(size=C))
+            _compare_with_reference(op, reference, arrays, rng,
+                                    requires_grad=[False] + [True] * (len(arrays) - 1))
+
+
+def _reference_bands(kernels, L):
+    """The band of each channel filled one tap at a time: output t reads
+    input t + k - (K-1)//2 with weight kernels[:, k]."""
+    C, K = kernels.shape
+    pl = (K - 1) // 2
+    B = np.zeros((C, L, L))
+    for k in range(K):
+        for t in range(L):
+            if 0 <= t + k - pl < L:
+                B[:, t + k - pl, t] = kernels[:, k]
+    return B
+
+
+class TestBands:
+    @pytest.mark.parametrize("L,K", [(1, 7), (1, 1), (4, 7), (6, 7), (48, 7),
+                                     (48, 4), (12, 2), (24, 1)])
+    def test_bitwise_equal_to_per_tap_loop(self, rng, L, K):
+        kernels = rng.normal(size=(3, K))
+        want = _reference_bands(kernels, L)
+        assert np.array_equal(T._bands(kernels, L, flip=False), want)
+        flipped = T._bands(kernels, L, flip=True)
+        assert flipped.flags.c_contiguous
+        assert np.array_equal(flipped, want.transpose(0, 2, 1))
+
+    def test_cached_maps_are_read_only(self):
+        with pytest.raises(ValueError):
+            T._band_index(8, 3)[0, 0] = 0
+        with pytest.raises(ValueError):
+            T._band_taps(8, 3)[0, 0] = 1.0
+
+    @pytest.mark.parametrize("shape,banded", [((4, 7, 28), True), ((4, 7, 29), False),
+                                              ((7, 6), True), ((7, 48), False)])
+    def test_bands_once_n_times_k_reaches_l(self, rng, monkeypatch, shape, banded):
+        used = []
+        for name in ("_band_product", "_window_product"):
+            monkeypatch.setattr(T, name, lambda *a, f=getattr(T, name), name=name:
+                                used.append(name) or f(*a))
+        T.depthwise_conv1d(Tensor(rng.normal(size=shape)), Tensor(rng.normal(size=(7, 7))))
+        assert used == ["_band_product" if banded else "_window_product"]
+
+    @pytest.mark.parametrize("shape,K", [((16, 7, 48), 7), ((1, 7, 48), 7),
+                                         ((7, 6), 7), ((16, 7, 47), 4),
+                                         ((2, 3, 4), 7), ((4, 321, 12), 7)])
+    def test_band_and_window_products_agree(self, rng, shape, K):
+        """Both implementations of the product on one input, in both
+        orientations."""
+        x = rng.normal(size=shape)
+        kernels = rng.normal(size=(shape[-2], K))
+        for flip in (False, True):
+            _assert_close(T._band_product(x, kernels, flip),
+                          T._window_product(x, kernels, flip))
 
 
 def _reference_moving_average_matrix(L, window):
