@@ -21,6 +21,7 @@ from .metrics import metrics
 from .model import AdaWaveNet
 from .svgplot import save_chart
 from .synth import SynthSpec, denoised_target, generate
+from .tensor import no_grad
 from .train import _scored_batches, build_model, train
 
 # synthetic signals: 1024 points, first 512 for fitting (training plus the
@@ -171,7 +172,8 @@ def run_cell(cell: dict, seed: int, verbose: bool = False) -> RunResult:
     t0 = time.time()
     model = build_model(dataset, model_cfg)
     train(model, dataset, train_cfg, mask_spec=mask_spec, verbose=verbose)
-    mse, mae = evaluate_task(model, dataset, mask_spec)
+    with no_grad():
+        mse, mae = evaluate_task(model, dataset, mask_spec)
     return RunResult(task=task, dataset=name, setting=setting, mse=mse, mae=mae,
                      runtime_s=time.time() - t0,
                      config_hash=config_hash(model_cfg, train_cfg), seed=seed)

@@ -115,13 +115,14 @@ def cmd_train(args):
     _write_csv(os.path.join(args.out, "cluster_assignments.csv"),
                ["channel", "cluster"],
                np.stack([np.arange(model.channels),
-                         model.trend_head.clustering.assignments]))
+                         model.trend_head.assignments]))
     return EXIT_OK
 
 
 def cmd_eval(args):
     model, dataset = _load_model(args)
-    mse, mae = B.evaluate_task(model, dataset, _mask_spec(args, model.config.seed))
+    with no_grad():
+        mse, mae = B.evaluate_task(model, dataset, _mask_spec(args, model.config.seed))
     print(f"task={model.config.task} test MSE={mse:.6f} MAE={mae:.6f}")
     return EXIT_OK
 

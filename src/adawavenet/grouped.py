@@ -6,8 +6,6 @@ and stays frozen afterwards; only the linear heads train.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import tensor as T
@@ -18,13 +16,6 @@ MAX_LLOYD_ITERS = 100
 
 class ClusteringError(ValueError):
     pass
-
-
-@dataclass
-class ChannelClustering:
-    k: int
-    assignments: np.ndarray
-    centroids: np.ndarray
 
 
 def channel_features(trend_samples: np.ndarray) -> np.ndarray:
@@ -89,25 +80,25 @@ def kmeans(points: np.ndarray, k: int, seed: int = 0):
     return assignments, centroids
 
 
-def fit_clustering(trend_samples: np.ndarray, k: int, seed: int = 0) -> ChannelClustering:
-    """Cluster channels of [S, C, L] trend windows into k groups."""
+def fit_clustering(trend_samples: np.ndarray, k: int, seed: int = 0) -> np.ndarray:
+    """Cluster channels of [S, C, L] trend windows into k groups; returns
+    each channel's cluster index."""
     if trend_samples.ndim != 3 or trend_samples.shape[0] < 1:
         raise ClusteringError("trend_samples must be [S, C, L] with S >= 1")
     C = trend_samples.shape[1]
     if k > C:
         raise ClusteringError(f"k={k} exceeds channel count {C}")
     feats = channel_features(trend_samples)
-    assignments, centroids = kmeans(feats, k, seed=seed)
-    return ChannelClustering(k=k, assignments=assignments, centroids=centroids)
+    return kmeans(feats, k, seed=seed)[0]
 
 
 class GroupedLinear:
-    def __init__(self, clustering: ChannelClustering, in_len: int, out_len: int):
-        self.clustering = clustering
+    def __init__(self, assignments: np.ndarray, k: int, in_len: int, out_len: int):
+        self.assignments = assignments
         self.in_len = in_len
-        self.weights = Tensor(np.tile(np.eye(in_len, out_len), (clustering.k, 1, 1)),
+        self.weights = Tensor(np.tile(np.eye(in_len, out_len), (k, 1, 1)),
                               requires_grad=True)
-        self.biases = Tensor(np.zeros((clustering.k, out_len)), requires_grad=True)
+        self.biases = Tensor(np.zeros((k, out_len)), requires_grad=True)
 
     def parameters(self):
         return {"weights": self.weights, "biases": self.biases}
@@ -118,4 +109,4 @@ class GroupedLinear:
             raise T.TensorError(
                 f"expected trend length {self.in_len}, got {x_trend.shape[-1]}")
         return T.grouped_linear_op(x_trend, self.weights, self.biases,
-                                   self.clustering.assignments)
+                                   self.assignments)

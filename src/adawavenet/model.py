@@ -14,7 +14,7 @@ from .attention import AttentionHead
 from .config import ModelConfig, from_text, to_text
 from .data import DataError
 from .decompose import decompose
-from .grouped import ChannelClustering, GroupedLinear
+from .grouped import GroupedLinear
 from .lifting import LiftingLevel, analyze, synthesize
 from .tensor import Tensor
 
@@ -25,8 +25,7 @@ CHECKPOINT_VERSION = 1
 class RevIN:
     """Reversible per-instance normalization with a learnable affine."""
 
-    def __init__(self, channels: int, eps: float = 1e-8):
-        self.eps = eps
+    def __init__(self, channels: int):
         self.scale = Tensor(np.ones((channels, 1)), requires_grad=True)
         self.shift = Tensor(np.zeros((channels, 1)), requires_grad=True)
 
@@ -34,10 +33,9 @@ class RevIN:
         return {"scale": self.scale, "shift": self.shift}
 
     def normalize(self, x: Tensor):
-        mu = T.mean(x, axis=-1, keepdims=True)
+        mu = T.mean(x)
         centered = T.sub(x, mu)
-        sd = T.sqrt(T.add(T.mean(T.mul(centered, centered), axis=-1, keepdims=True),
-                          Tensor(self.eps)))
+        sd = T.sqrt(T.add(T.mean(T.mul(centered, centered)), Tensor(T.NORM_EPS)))
         xn = T.add(T.mul(T.div(centered, sd), self.scale), self.shift)
         return xn, (mu, sd)
 
@@ -48,27 +46,26 @@ class RevIN:
 
 class AdaWaveNet:
     def __init__(self, config: ModelConfig, channels: int,
-                 clustering: ChannelClustering | None = None):
+                 assignments: np.ndarray | None = None):
+        """assignments: each channel's trend cluster in [0, n_clusters),
+        required when n_clusters > 1."""
         config.validate()
         self.config = config
         self.channels = channels
         rng = np.random.default_rng(config.seed)
-        if clustering is None:
+        if assignments is None:
             if config.n_clusters != 1:
-                raise ValueError("n_clusters > 1 requires a fitted clustering")
-            clustering = ChannelClustering(
-                k=1, assignments=np.zeros(channels, dtype=int),
-                centroids=np.zeros((1, 1)))
-        if clustering.k != config.n_clusters:
-            raise ValueError("clustering k does not match config n_clusters")
-        if len(clustering.assignments) != channels:
-            raise ValueError("clustering channel count mismatch")
+                raise ValueError("n_clusters > 1 requires fitted cluster assignments")
+            assignments = np.zeros(channels, dtype=int)
+        if len(assignments) != channels:
+            raise ValueError("cluster assignments channel count mismatch")
         self.levels = [LiftingLevel(channels, config.kernel_size)
                        for _ in range(config.levels)]
         self.head = AttentionHead(config.final_len, config.final_len,
                                   d_model=config.d_model, heads=config.heads,
                                   rng=rng)
-        self.trend_head = GroupedLinear(clustering, config.input_len, config.pred_len)
+        self.trend_head = GroupedLinear(assignments, config.n_clusters,
+                                        config.input_len, config.pred_len)
         self.revin = RevIN(channels) if config.revin else None
 
     # -- parameters ----------------------------------------------------------
@@ -186,8 +183,7 @@ def load_checkpoint(path: str):
 
 def model_state(model: AdaWaveNet, norm_mean=None, norm_std=None) -> dict[str, np.ndarray]:
     arrays = {name: p.data for name, p in model.parameters().items()}
-    arrays["clustering.assignments"] = model.trend_head.clustering.assignments.astype(float)
-    arrays["clustering.centroids"] = model.trend_head.clustering.centroids
+    arrays["clustering.assignments"] = model.trend_head.assignments.astype(float)
     if norm_mean is not None:
         arrays["norm.mean"] = np.asarray(norm_mean, dtype=float)
         arrays["norm.std"] = np.asarray(norm_std, dtype=float)
@@ -195,24 +191,24 @@ def model_state(model: AdaWaveNet, norm_mean=None, norm_std=None) -> dict[str, n
 
 
 def restore_model(config: ModelConfig, arrays: dict[str, np.ndarray]) -> AdaWaveNet:
-    """Rebuild a model from checkpoint arrays; a missing or mis-shaped array
-    or invalid cluster assignments raise DataError."""
-    for name in ("clustering.assignments", "clustering.centroids"):
-        if name not in arrays:
-            raise DataError(f"checkpoint missing array {name!r}")
+    """Rebuild a model from checkpoint arrays; a missing, mis-shaped or
+    non-finite parameter or invalid cluster assignments raise DataError.
+    Arrays the model does not read are ignored."""
+    if "clustering.assignments" not in arrays:
+        raise DataError("checkpoint missing array 'clustering.assignments'")
     assignments = arrays["clustering.assignments"]
     if assignments.ndim != 1 or not np.all(np.isin(assignments,
                                                    np.arange(config.n_clusters))):
         raise DataError(f"checkpoint cluster assignments are not integers in "
                         f"[0, {config.n_clusters})")
-    clustering = ChannelClustering(k=config.n_clusters,
-                                   assignments=assignments.astype(int),
-                                   centroids=arrays["clustering.centroids"])
-    model = AdaWaveNet(config, channels=len(assignments), clustering=clustering)
+    model = AdaWaveNet(config, channels=len(assignments),
+                       assignments=assignments.astype(int))
     for name, p in model.parameters().items():
         if name not in arrays:
             raise DataError(f"checkpoint missing parameter {name!r}")
         if arrays[name].shape != p.data.shape:
             raise DataError(f"checkpoint shape mismatch for {name!r}")
+        if not np.all(np.isfinite(arrays[name])):
+            raise DataError(f"checkpoint parameter {name!r} is not finite")
         p.data[...] = arrays[name]
     return model

@@ -12,6 +12,8 @@ import math
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
+NORM_EPS = 1e-8     # variance floor of layer_norm and of RevIN
+
 
 class TensorError(ValueError):
     pass
@@ -192,17 +194,11 @@ def softmax(a, axis=-1):
     return _make(s, (a,), backward)
 
 
-def mean(a, axis=None, keepdims=False):
-    y = a.data.mean(axis=axis, keepdims=keepdims)
-    n = a.size if axis is None else a.data.size // y.size
-
-    def backward(g):
-        g = np.asarray(g)
-        if not keepdims and axis is not None:
-            g = np.expand_dims(g, axis)
-        return (np.broadcast_to(g, a.shape) / n,)
-
-    return _make(y, (a,), backward)
+def mean(a):
+    """Mean over the last axis, which is kept with length 1."""
+    n = a.shape[-1]
+    return _make(a.data.mean(axis=-1, keepdims=True), (a,),
+                 lambda g: (np.broadcast_to(g, a.shape) / n,))
 
 
 def tsum(a):
@@ -256,17 +252,6 @@ def matmul(a, b):
         return ga, gb
 
     return _make(a.data @ b.data, (a, b), backward)
-
-
-def linear(x, weight, bias=None):
-    """Affine map over the trailing dimension: x[..., D_in] -> [..., D_out]."""
-    if x.shape[-1] != weight.shape[0]:
-        raise TensorError(
-            f"linear: trailing dim {x.shape[-1]} != weight rows {weight.shape[0]}")
-    y = matmul(x, weight)
-    if bias is not None:
-        y = add(y, bias)
-    return y
 
 
 # -- shape manipulation ------------------------------------------------------
@@ -545,12 +530,12 @@ def grouped_linear_op(x, weights, biases, assignments):
     return _make(out.reshape(x.shape[:-1] + (Lp,)), (x, weights, biases), backward)
 
 
-def layer_norm(x, scale, shift, eps=1e-8):
+def layer_norm(x, scale, shift):
     """Normalize the last axis to zero mean / unit variance, then affine."""
     mu = x.data.mean(axis=-1, keepdims=True)
     xc = x.data - mu
     var = (xc * xc).mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
+    inv = 1.0 / np.sqrt(var + NORM_EPS)
     xn = xc * inv
     out = xn * scale.data + shift.data
 

@@ -15,6 +15,7 @@ from .model import AdaWaveNet, zoh_upsample
 from .tensor import Tensor
 
 MAX_FEATURE_WINDOWS = 512   # leading train windows whose trends feed k-means
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 
 
 class NumericalError(RuntimeError):
@@ -22,8 +23,7 @@ class NumericalError(RuntimeError):
 
 
 class AdamState:
-    def __init__(self, params: dict[str, Tensor], beta1=0.9, beta2=0.999, eps=1e-8):
-        self.beta1, self.beta2, self.eps = beta1, beta2, eps
+    def __init__(self, params: dict[str, Tensor]):
         self.step_count = 0
         self.m = {k: np.zeros_like(p.data) for k, p in params.items()}
         self.v = {k: np.zeros_like(p.data) for k, p in params.items()}
@@ -39,7 +39,7 @@ def adam_step(params: dict[str, Tensor], state: AdamState, lr: float):
     p -= lr * (m/(1-b1^t)) / (sqrt(v/(1-b2^t)) + eps)."""
     state.step_count += 1
     t = state.step_count
-    b1, b2 = state.beta1, state.beta2
+    b1, b2 = ADAM_BETA1, ADAM_BETA2
     for name, p in params.items():
         g = p.grad
         if g is None:
@@ -54,7 +54,7 @@ def adam_step(params: dict[str, Tensor], state: AdamState, lr: float):
         v += step
         np.divide(v, 1 - b2 ** t, out=denom)
         np.sqrt(denom, out=denom)
-        denom += state.eps
+        denom += ADAM_EPS
         np.divide(m, 1 - b1 ** t, out=step)
         step *= lr
         step /= denom
@@ -79,14 +79,14 @@ def build_model(dataset: Dataset, config: ModelConfig) -> AdaWaveNet:
     if config.n_clusters > channels:
         raise DataError(f"n_clusters={config.n_clusters} exceeds the data's "
                         f"{channels} channel(s)")
-    clustering = None
+    assignments = None
     if config.n_clusters > 1:
         xs, _ = windows(dataset, "train", config.input_len, config.pred_len,
                         config.task)
         trends = np.stack([decompose(Tensor(w), config.ma_window).trend.data
                            for w in xs[:MAX_FEATURE_WINDOWS]])
-        clustering = fit_clustering(trends, config.n_clusters, seed=config.seed)
-    return AdaWaveNet(config, channels=channels, clustering=clustering)
+        assignments = fit_clustering(trends, config.n_clusters, seed=config.seed)
+    return AdaWaveNet(config, channels=channels, assignments=assignments)
 
 
 def _prepare_batch(task, xs, ys, idx, mask_spec, sr_ratio, mask_salt):

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from pytest import approx
 
+import adawavenet.bench as B
 import adawavenet.tensor as T
 from adawavenet.baselines import LinearBaseline, baseline_persistence
 from adawavenet.bench import (SYNTH_FRACTIONS, RunResult, aggregate,
@@ -16,7 +17,7 @@ from adawavenet.config import ConfigError, ModelConfig, TrainConfig
 from adawavenet.data import (DataError, MaskSpec, build_dataset, downsample,
                              make_mask, windows)
 from adawavenet.metrics import metrics
-from adawavenet.model import zoh_upsample
+from adawavenet.model import AdaWaveNet, zoh_upsample
 from adawavenet.tensor import Tensor
 from adawavenet.train import _prepare_batch, build_model, evaluate
 
@@ -191,6 +192,33 @@ class TestReportAndManifest:
                            "mask_ratio": "0.25", "max_epochs": 1, "levels": 2,
                            "kernel_size": 3, "input_len": 48, "pred_len": 48}, seed=3)
         assert result.setting == "mask=0.25:random"
+
+    def test_cell_scores_without_a_graph(self, monkeypatch):
+        """Training forwards record a graph and the scoring forwards none; the
+        metrics equal those of scoring the trained model with the graph."""
+        forward, evaluate_task = AdaWaveNet.forward, B.evaluate_task
+        forwards, scored = [], []
+
+        def spy_forward(self, x):
+            out = forward(self, x)
+            forwards.append((bool(scored), out._backward is None))
+            return out
+
+        def spy_evaluate(model, dataset, mask_spec=None):
+            scored.append((model, dataset, mask_spec))
+            return evaluate_task(model, dataset, mask_spec)
+
+        monkeypatch.setattr(AdaWaveNet, "forward", spy_forward)
+        monkeypatch.setattr(B, "evaluate_task", spy_evaluate)
+        result = run_cell({"dataset": "synth:simple", "task": "impute",
+                           "max_epochs": 1, "levels": 2, "kernel_size": 3,
+                           "input_len": 48, "pred_len": 48}, seed=3)
+        training = [free for in_scoring, free in forwards if not in_scoring]
+        scoring = [free for in_scoring, free in forwards if in_scoring]
+        assert not all(training) and scoring and all(scoring)
+        forwards.clear()
+        assert (result.mse, result.mae) == evaluate_task(*scored[0])
+        assert not any(free for _, free in forwards)
 
     def test_unknown_cell_key_rejected(self):
         with pytest.raises(ConfigError,

@@ -269,6 +269,49 @@ class TestEvalAndShowcase:
         err = capsys.readouterr().err
         assert err.startswith("data error:") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    @pytest.mark.parametrize("command", ["eval", "forecast"])
+    def test_non_finite_parameter_is_data_error(self, trained, tmp_path, command,
+                                                value, capsys):
+        config, arrays = load_checkpoint(os.path.join(trained, "model.awn"))
+        arrays["attention.w_q"][0, 0] = value
+        bad = str(tmp_path / "bad.awn")
+        save_checkpoint(bad, config, arrays)
+        out = tmp_path / "o"
+        argv = [command, "--data", "synth:simple", "--checkpoint", bad]
+        code = main(argv + (["--out", str(out)] if command == "forecast" else []))
+        assert code == EXIT_DATA
+        assert one_line_error(capsys, "data error:")
+        assert not out.exists()
+
+    def test_eval_scores_without_a_graph(self, trained, monkeypatch, capsys):
+        """Every forward of `eval` records no graph, and its metrics are
+        bitwise those of scoring the checkpoint with the graph."""
+        ckpt = os.path.join(trained, "model.awn")
+        forward, evaluate_task = AdaWaveNet.forward, cli.B.evaluate_task
+        outputs, scored = [], []
+
+        def spy_forward(self, x):
+            outputs.append(forward(self, x))
+            return outputs[-1]
+
+        def spy_evaluate(*args):
+            scored.append(evaluate_task(*args))
+            return scored[-1]
+
+        monkeypatch.setattr(AdaWaveNet, "forward", spy_forward)
+        monkeypatch.setattr(cli.B, "evaluate_task", spy_evaluate)
+        assert main(["eval", "--data", "synth:simple", "--checkpoint", ckpt]) == EXIT_OK
+        assert outputs and all(out._backward is None for out in outputs)
+        printed = capsys.readouterr().out
+        model, dataset = cli._load_model(argparse.Namespace(
+            checkpoint=ckpt, data="synth:simple"))
+        outputs.clear()
+        mse, mae = evaluate_task(model, dataset, MaskSpec(seed=model.config.seed))
+        assert all(out._backward is not None for out in outputs)
+        assert scored == [(mse, mae)]
+        assert printed == f"task=forecast test MSE={mse:.6f} MAE={mae:.6f}\n"
+
     def test_bad_checkpoint_path(self, tmp_path, capsys):
         code = main(["eval", "--data", "synth:simple", "--checkpoint",
                      str(tmp_path / "missing.awn")])

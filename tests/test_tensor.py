@@ -29,19 +29,6 @@ def conv1d_oracle(x, w, b):
     return out
 
 
-def linear_oracle(x, w, b):
-    out = np.zeros(x.shape[:-1] + (w.shape[1],))
-    flat_x = x.reshape(-1, x.shape[-1])
-    flat_out = out.reshape(-1, w.shape[1])
-    for n in range(flat_x.shape[0]):
-        for j in range(w.shape[1]):
-            acc = b[j]
-            for i in range(w.shape[0]):
-                acc += flat_x[n, i] * w[i, j]
-            flat_out[n, j] = acc
-    return out
-
-
 class TestDepthwiseConv:
     def test_matches_full_conv_with_diagonal_kernels(self, rng):
         x = rng.normal(size=(3, 10))
@@ -67,28 +54,6 @@ class TestDepthwiseConv:
             lhs = (T.depthwise_conv1d(Tensor(x), Tensor(w)).data * y).sum()
             rhs = (x * T.depthwise_conv_transpose1d(Tensor(y), Tensor(w)).data).sum()
             assert lhs == approx(rhs, abs=1e-10)
-
-
-class TestLinear:
-    def test_identity(self, rng):
-        x = rng.normal(size=(3, 4))
-        out = T.linear(Tensor(x), Tensor(np.eye(4)), Tensor(np.zeros(4)))
-        assert out.data == approx(x)
-
-    def test_hand_arithmetic(self):
-        out = T.linear(Tensor([1.0, 2.0]), Tensor(np.eye(2)), Tensor([3.0, 3.0]))
-        assert out.data == approx([4.0, 5.0])
-
-    def test_matches_oracle(self, rng):
-        x = rng.normal(size=(2, 3, 4))
-        w = rng.normal(size=(4, 5))
-        b = rng.normal(size=5)
-        assert T.linear(Tensor(x), Tensor(w), Tensor(b)).data == approx(
-            linear_oracle(x, w, b))
-
-    def test_dim_mismatch(self):
-        with pytest.raises(TensorError):
-            T.linear(Tensor(np.zeros(3)), Tensor(np.zeros((4, 2))), None)
 
 
 class TestElementwise:
@@ -154,13 +119,14 @@ class TestBackward:
         x = rng.normal(size=(2, 8))
         w = rng.normal(size=(2, 3)) * 0.3
         wl = rng.normal(size=(8, 4)) * 0.3
+        bl = rng.normal(size=4)
         tgt = rng.normal(size=(2, 4))
 
-        def loss(xt, wt, wlt):
+        def loss(xt, wt, wlt, blt):
             h = T.tanh(T.depthwise_conv1d(xt, wt))
-            return T.mse(T.linear(h, wlt), Tensor(tgt))
+            return T.mse(T.add(T.matmul(h, wlt), blt), Tensor(tgt))
 
-        check_grads(loss, [x, w, wl])
+        check_grads(loss, [x, w, wl, bl])
 
     def test_tape_topological_order(self, rng):
         x = Tensor(rng.normal(size=4), requires_grad=True)

@@ -241,13 +241,13 @@ class TestTrainLoop:
     def test_non_finite_grad_names_its_group(self, rng, monkeypatch, value):
         """A finite loss whose bias gradient is non-finite: clipping scales an
         inf by 0 to NaN, so only the bias is named either way."""
-        linear = T.linear
+        add = T.add
 
-        def poisoned(x, weight, bias):
+        def poisoned(a, bias):
             bias = T._make(bias.data, (bias,), lambda g: (np.full_like(g, value),))
-            return linear(x, weight, bias)
+            return add(a, bias)
 
-        monkeypatch.setattr(T, "linear", poisoned)
+        monkeypatch.setattr(T, "add", poisoned)
         with pytest.raises(NumericalError, match=r"non-finite grads in \['bias'\]"):
             LinearBaseline(32, 32).fit(tiny_dataset(rng), TrainConfig(max_epochs=1))
 
@@ -270,12 +270,13 @@ class TestBuildModel:
     def test_clustering_fitted_when_requested(self, rng):
         ds = tiny_dataset(rng, channels=4)
         model = build_model(ds, tiny_config(n_clusters=2))
-        clustering = model.trend_head.clustering
-        assert clustering.k == 2
-        assert clustering.assignments.shape == (4,)
-        assert set(clustering.assignments.tolist()) <= {0, 1}
+        assignments = model.trend_head.assignments
+        assert model.config.n_clusters == 2
+        assert assignments.shape == (4,)
+        assert set(assignments.tolist()) <= {0, 1}
 
     def test_single_cluster_skips_fit(self, rng):
         ds = tiny_dataset(rng)
         model = build_model(ds, tiny_config())
-        assert model.trend_head.clustering.k == 1
+        assert model.config.n_clusters == 1
+        assert np.array_equal(model.trend_head.assignments, np.zeros(2))
