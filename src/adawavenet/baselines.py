@@ -31,7 +31,8 @@ class LinearBaseline:
         return T.add(T.matmul(x, self.weight), self.bias)
 
     def predict(self, x: np.ndarray) -> np.ndarray:
-        return self.forward(Tensor(x)).data
+        with T.no_grad():
+            return self.forward(Tensor(x)).data
 
     def fit(self, dataset: Dataset, train_cfg: TrainConfig):
         xs, ys = windows(dataset, "train", self.input_len, self.pred_len, "forecast")

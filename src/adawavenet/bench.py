@@ -27,6 +27,10 @@ from .train import _scored_batches, build_model, train
 # synthetic signals: 1024 points, first 512 for fitting (training plus the
 # validation tail used for early stopping), last 512 held out
 SYNTH_FRACTIONS = (0.3125, 0.1875, 0.5)
+# hourly ETT files (ETTh1, ETTh2) as the paper's baselines split them: the
+# first 12/4/4 months of 30 days x 24 rows for train/val/test
+ETTH_ROWS = 14400
+ETTH_FRACTIONS = (0.6, 0.2, 0.2)
 
 
 @dataclass
@@ -53,13 +57,25 @@ def config_hash(model_cfg: ModelConfig, train_cfg: TrainConfig) -> str:
 
 
 def resolve_dataset(name: str, seed: int = 0) -> Dataset:
+    """The dataset a --data value names: ``synth:<family>`` (generated with
+    ``seed``), ``etth:<path>`` (an hourly ETT CSV under the ETTh protocol) or
+    a CSV path (split 70/10/20)."""
     if name.startswith("synth:"):
         family = name.split(":", 1)[1]
         return build_dataset([family], generate(SynthSpec(family=family, seed=seed)),
                              SYNTH_FRACTIONS)
-    if not os.path.exists(name):
-        raise DataError(f"dataset file not found: {name}")
-    return load_csv(name)
+    etth = name.startswith("etth:")
+    path = name[len("etth:"):] if etth else name
+    if not os.path.exists(path):
+        raise DataError(f"dataset file not found: {path}")
+    full = load_csv(path)
+    if not etth:
+        return full
+    rows = full.values.shape[1]
+    if rows < ETTH_ROWS:
+        raise DataError(f"{path}: {rows} data rows, the ETTh protocol needs {ETTH_ROWS}")
+    return build_dataset(full.channel_names, full.values[:, :ETTH_ROWS],
+                         ETTH_FRACTIONS)
 
 
 # -- per-task evaluation -----------------------------------------------------
@@ -123,8 +139,9 @@ def case_study(family: str = "simple", seed: int = 0,
     L, Lp = model_cfg.input_len, model_cfg.pred_len
     xs, _ = windows(dataset, "test", L, Lp, "forecast")
     _, ys = windows(replace(dataset, values=clean), "test", L, Lp, "forecast")
-    preds = np.concatenate([p for p, _, _ in _scored_batches(model, "forecast",
-                                                             xs, ys)])
+    with no_grad():
+        preds = np.concatenate([p for p, _, _ in _scored_batches(model, "forecast",
+                                                                 xs, ys)])
     lin = LinearBaseline(L, Lp).fit(dataset, train_cfg)    # reads no patience
     return {"model": metrics(preds, ys), "linear": metrics(lin.predict(xs), ys),
             "persistence": metrics(baseline_persistence(xs, Lp), ys),

@@ -21,8 +21,8 @@ from .decompose import decompose
 from .lifting import LiftingLevel, check_depth, lift_forward
 from .model import load_checkpoint, model_state, restore_model, save_checkpoint
 from .synth import SynthError, SynthSpec, denoised_target, generate
-from .tensor import Tensor, TensorError, no_grad
-from .train import NumericalError, _prepare_batch, build_model, train
+from .tensor import NumericalError, Tensor, TensorError, no_grad
+from .train import _prepare_batch, build_model, train
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -90,6 +90,8 @@ def _test_window(model, dataset, task, index, mask_spec=None, sr_ratio=1):
                                   mask_spec, sr_ratio, mask_salt=0)
     with no_grad():
         pred = model.forward(Tensor(inp)).data[0]
+    if not np.all(np.isfinite(pred)):
+        raise NumericalError("the model's prediction is non-finite")
     return inp[0], tgt[0], None if lm is None else lm[0], pred
 
 
@@ -236,7 +238,8 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
     # flags shared by several subcommands, each declared once
     shared = {
-        "--data": dict(required=True, help="CSV path or synth:<family>"),
+        "--data": dict(required=True,
+                       help="CSV path, etth:<path> or synth:<family>"),
         "--checkpoint": dict(required=True),
         "--seed": dict(type=int, default=None),
         "--out": dict(default="out"),
@@ -295,7 +298,10 @@ def main(argv=None):
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.func(args)
+        # overflow only warns in numpy; explicit checks on the loss, gradients,
+        # scores and predictions turn it into a NumericalError instead
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            return args.func(args)
     except (UsageError, ConfigError, SynthError, OSError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -71,8 +71,9 @@ class TrainConfig:
     clip_norm: float = 5.0
 
     def validate(self) -> "TrainConfig":
-        if not 0 <= self.learning_rate < math.inf:
-            raise ConfigError("learning_rate must be finite and >= 0")
+        for name in ("learning_rate", "clip_norm"):     # clip_norm=0: no clipping
+            if not 0 <= getattr(self, name) < math.inf:
+                raise ConfigError(f"{name} must be finite and >= 0")
         for name, low in (("batch_size", 1), ("max_epochs", 1), ("patience", 1),
                           ("seed", 0)):
             if getattr(self, name) < low:

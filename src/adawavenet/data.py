@@ -138,8 +138,6 @@ def make_mask(spec: MaskSpec, shape: tuple[int, int],
     n_masked = int(round(spec.ratio * L))
     if n_masked == 0:
         raise DataError(f"ratio {spec.ratio} conceals no sample of L={L}")
-    if abs(n_masked / L - spec.ratio) > 1.0 / L:
-        raise DataError(f"ratio {spec.ratio} not realizable for L={L}")
     rng = rng or np.random.default_rng(spec.seed)
     mask = np.ones(shape)
     if spec.mode == "random":

@@ -19,6 +19,10 @@ class TensorError(ValueError):
     pass
 
 
+class NumericalError(ValueError):
+    """A non-finite loss, gradient, score or prediction."""
+
+
 class Tape:
     """Topologically ordered record of the ops reachable from a loss."""
 

@@ -12,14 +12,10 @@ from .data import DataError, Dataset, MaskSpec, downsample, make_mask, windows
 from .decompose import decompose
 from .grouped import fit_clustering
 from .model import AdaWaveNet, zoh_upsample
-from .tensor import Tensor
+from .tensor import NumericalError, Tensor
 
 MAX_FEATURE_WINDOWS = 512   # leading train windows whose trends feed k-means
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
-
-
-class NumericalError(RuntimeError):
-    pass
 
 
 class AdamState:
@@ -162,6 +158,8 @@ def train(model: AdaWaveNet, dataset: Dataset, train_cfg: TrainConfig,
             lambda idx: _prepare_batch(cfg.task, xs, ys, idx, mask_spec,
                                        cfg.sr_ratio, mask_salt=epoch + 1))
         val_loss = evaluate(model, dataset, "val", mask_spec=mask_spec)
+        if not np.isfinite(val_loss):
+            raise NumericalError(_nan_diagnostic(params, "validation loss is non-finite"))
         seconds = time.time() - t_start
         history.append((epoch, train_loss, val_loss, train_cfg.learning_rate,
                         seconds))
@@ -210,7 +208,7 @@ def _train_epoch(model, params, state: AdamState, train_cfg: TrainConfig,
         adam_step(params, state, train_cfg.learning_rate)
         total += value
         del pred, loss  # free this step's graph before the next forward
-    return total / max(len(starts), 1)
+    return total / len(starts)
 
 
 def _nan_diagnostic(params, msg):

@@ -9,6 +9,23 @@ def rng():
     return np.random.default_rng(1234)
 
 
+ETT_CHANNELS = ["HUFL", "HULL", "MUFL", "MULL", "LUFL", "LULL", "OT"]
+
+
+def write_ett_csv(path, rows):
+    """An hourly ETT-shaped CSV: a date column and 7 smooth noisy channels."""
+    t = np.arange(rows)
+    phase = np.arange(len(ETT_CHANNELS))[:, None]
+    values = (np.sin(2 * np.pi * t / 24 + phase) + 0.1 * np.cos(t / 500 + phase)
+              + 0.05 * np.random.default_rng(0).normal(size=(len(phase), rows)))
+    dates = np.datetime64("2016-07-01T00") + t.astype("timedelta64[h]")
+    lines = [",".join(["date"] + ETT_CHANNELS)]
+    lines += [f"{d}," + ",".join(f"{v:.6f}" for v in col)
+              for d, col in zip(dates, values.T)]
+    path.write_text("\n".join(lines) + "\n")
+    return str(path)
+
+
 def passthrough_attention(head):
     """Zero an attention head's mixing path so that it is embed∘target only,
     which is the identity at init; returns the head."""

@@ -11,9 +11,9 @@ import numpy as np
 import pytest
 
 import adawavenet.tensor as T
-from adawavenet.bench import case_study
+from adawavenet.bench import case_study, evaluate_forecast, resolve_dataset
 from adawavenet.config import ModelConfig, TrainConfig
-from adawavenet.data import MaskSpec, build_dataset, downsample, load_csv, make_mask
+from adawavenet.data import MaskSpec, build_dataset, downsample, make_mask
 from adawavenet.lifting import LiftingLevel, analyze, synthesize
 from adawavenet.model import AdaWaveNet, zoh_upsample
 from adawavenet.synth import SynthSpec, generate
@@ -239,17 +239,13 @@ def test_criterion_6_etth1_forecast():
               "ADAWAVE_ETTH1 at it)", file=sys.__stdout__)
         pytest.skip("ETTh1.csv not available in this environment")
     t0 = time.time()
-    full = load_csv(path)
-    # standard ETTh1 protocol: 12/4/4 months of hourly data
-    data = full.values[:, :14400]
-    dataset = build_dataset(full.channel_names, data, (0.6, 0.2, 0.2))
+    dataset = resolve_dataset(f"etth:{path}")
     model_cfg = ModelConfig(levels=4, kernel_size=7, n_clusters=4,
                             input_len=96, pred_len=96, seed=0)
     train_cfg = TrainConfig(learning_rate=5e-4, max_epochs=30, patience=3,
                             seed=0)
     model = build_model(dataset, model_cfg)
     train(model, dataset, train_cfg)
-    from adawavenet.bench import evaluate_forecast
     mse, mae = evaluate_forecast(model, dataset)
     elapsed = time.time() - t0
     ok = mse <= 0.45 and elapsed < 3600.0

@@ -1,3 +1,4 @@
+import contextlib
 import json
 from pathlib import Path
 
@@ -9,17 +10,19 @@ import adawavenet.bench as B
 import adawavenet.tensor as T
 from adawavenet.baselines import LinearBaseline, baseline_persistence
 from adawavenet.bench import (SYNTH_FRACTIONS, RunResult, aggregate,
-                              cell_configs, cell_mask_spec, config_hash,
-                              evaluate_forecast, evaluate_impute,
+                              case_study, cell_configs, cell_mask_spec,
+                              config_hash, evaluate_forecast, evaluate_impute,
                               evaluate_superres, format_report, load_manifest,
                               resolve_dataset, run_benchmark, run_cell)
 from adawavenet.config import ConfigError, ModelConfig, TrainConfig
 from adawavenet.data import (DataError, MaskSpec, build_dataset, downsample,
-                             make_mask, windows)
+                             load_csv, make_mask, windows)
 from adawavenet.metrics import metrics
 from adawavenet.model import AdaWaveNet, zoh_upsample
-from adawavenet.tensor import Tensor
+from adawavenet.tensor import NumericalError, Tensor
 from adawavenet.train import _prepare_batch, build_model, evaluate
+
+from conftest import write_ett_csv
 
 
 class TestMetrics:
@@ -57,6 +60,15 @@ class TestMetrics:
     def test_nan_prediction_rejected(self):
         with pytest.raises(ValueError):
             metrics(np.array([1.0, np.nan]), np.zeros(2))
+
+    @pytest.mark.parametrize("pred", [[1e200, 0.0], [np.inf, 0.0]],
+                             ids=["overflowing", "infinite"])
+    @pytest.mark.parametrize("mask", [None, [1.0, 0.0]], ids=["all", "masked"])
+    def test_infinite_error_rejected(self, pred, mask):
+        """1e200 squares to inf; an inf error under a 0 mask gives NaN."""
+        mask = None if mask is None else np.array(mask)
+        with pytest.raises(NumericalError, match="non-finite error"):
+            metrics(np.array(pred), np.zeros(2), mask)
 
 
 class TestBaselines:
@@ -111,6 +123,39 @@ class TestSynthDataset:
     def test_resolve_missing_file(self):
         with pytest.raises(DataError):
             resolve_dataset("/nonexistent/data.csv")
+
+
+@pytest.fixture(scope="module")
+def ett_csv(tmp_path_factory):
+    """A synthetic file of ETTh1's shape: 17420 hourly rows, 7 channels."""
+    return write_ett_csv(tmp_path_factory.mktemp("ett") / "ETTh1.csv", 17420)
+
+
+class TestEtthDataset:
+    def test_first_14400_rows_split_60_20_20(self, ett_csv):
+        """etth:PATH is the 12/4/4-month protocol spelled out by hand."""
+        full = load_csv(ett_csv)
+        want = build_dataset(full.channel_names, full.values[:, :14400],
+                             (0.6, 0.2, 0.2))
+        got = resolve_dataset(f"etth:{ett_csv}")
+        assert got.channel_names == want.channel_names
+        assert got.values.tobytes() == want.values.tobytes()
+        assert got.mean.tobytes() == want.mean.tobytes()
+        assert got.std.tobytes() == want.std.tobytes()
+        assert got.splits == want.splits == {
+            "train": (0, 8640), "val": (8640, 11520), "test": (11520, 14400)}
+
+    def test_short_file_rejected(self, tmp_path):
+        path = write_ett_csv(tmp_path / "short.csv", 14399)
+        with pytest.raises(DataError, match="14399 data rows"):
+            resolve_dataset(f"etth:{path}")
+
+    def test_missing_file_rejected_as_for_a_plain_csv(self):
+        with pytest.raises(DataError) as plain:
+            resolve_dataset("/nonexistent/ETTh1.csv")
+        with pytest.raises(DataError) as etth:
+            resolve_dataset("etth:/nonexistent/ETTh1.csv")
+        assert str(etth.value) == str(plain.value)
 
 
 class TestAggregate:
@@ -192,6 +237,33 @@ class TestReportAndManifest:
                            "mask_ratio": "0.25", "max_epochs": 1, "levels": 2,
                            "kernel_size": 3, "input_len": 48, "pred_len": 48}, seed=3)
         assert result.setting == "mask=0.25:random"
+
+    def test_case_study_scores_without_a_graph(self, monkeypatch):
+        """With training patched out, no scoring forward of the model or the
+        linear baseline records a graph, and the metrics and predictions are
+        bitwise those of scoring with the graph."""
+        outputs = []
+
+        def spy(forward):
+            def wrapped(self, x):
+                outputs.append(forward(self, x))
+                return outputs[-1]
+            return wrapped
+
+        monkeypatch.setattr(B, "train", lambda *args, **kwargs: None)
+        monkeypatch.setattr(LinearBaseline, "fit", lambda self, *args: self)
+        monkeypatch.setattr(AdaWaveNet, "forward", spy(AdaWaveNet.forward))
+        monkeypatch.setattr(LinearBaseline, "forward", spy(LinearBaseline.forward))
+        free = case_study("simple", 0)
+        assert outputs and all(out._parents == () for out in outputs)
+        outputs.clear()
+        monkeypatch.setattr(B, "no_grad", contextlib.nullcontext)
+        monkeypatch.setattr(T, "no_grad", contextlib.nullcontext)
+        graph = case_study("simple", 0)
+        assert outputs and all(out._parents != () for out in outputs)
+        for key in ("model", "linear", "persistence"):
+            assert free[key] == graph[key]
+        assert free["preds"].tobytes() == graph["preds"].tobytes()
 
     def test_cell_scores_without_a_graph(self, monkeypatch):
         """Training forwards record a graph and the scoring forwards none; the

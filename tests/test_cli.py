@@ -5,19 +5,25 @@ import dataclasses
 import inspect
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from adawavenet import cli
 from adawavenet.bench import resolve_dataset
-from adawavenet.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, build_parser, main
+from adawavenet.cli import (EXIT_DATA, EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE,
+                            build_parser, main)
 from adawavenet.data import MaskSpec, windows
 from adawavenet.config import ModelConfig
 from adawavenet.model import (AdaWaveNet, load_checkpoint, model_state,
                               restore_model, save_checkpoint)
 from adawavenet.tensor import Tensor
 from adawavenet.train import _prepare_batch, _scored_batches
+
+from conftest import write_ett_csv
 
 SMALL = """\
 levels=2
@@ -119,7 +125,8 @@ class TestTrain:
                                       "n_clusters=0", "batch_size=0",
                                       "max_epochs=0", "levels=abc",
                                       "learning_rate=nan", "learning_rate=inf",
-                                      "seed=-1"])
+                                      "clip_norm=nan", "clip_norm=-1",
+                                      "clip_norm=inf", "seed=-1"])
     def test_bad_config_value_is_usage_error(self, tmp_path, line, capsys):
         cfg = tmp_path / "bad.txt"
         cfg.write_text(SMALL + line + "\n")
@@ -128,6 +135,24 @@ class TestTrain:
         assert code == EXIT_USAGE
         err = capsys.readouterr().err
         assert err.startswith("usage error:") and err.count("\n") == 1
+        assert not (tmp_path / "o").exists()
+
+    def test_clip_norm_zero_trains(self, tmp_path):
+        """clip_norm=0 turns clipping off."""
+        cfg = tmp_path / "c.txt"
+        cfg.write_text(SMALL + "clip_norm=0\n")
+        assert main(["train", "--data", "synth:simple", "--config", str(cfg),
+                     "--out", str(tmp_path / "o"), "--quiet"]) == EXIT_OK
+
+    def test_non_finite_validation_loss_is_numerical_failure(self, tmp_path, capsys):
+        """One Adam step of size 1e300 leaves finite parameters whose
+        validation forward overflows."""
+        cfg = tmp_path / "c.txt"
+        cfg.write_text(SMALL + "learning_rate=1e300\nbatch_size=100000\n")
+        code = main(["train", "--data", "synth:simple", "--config", str(cfg),
+                     "--out", str(tmp_path / "o"), "--quiet"])
+        assert code == EXIT_NUMERICAL
+        assert one_line_error(capsys, "numerical failure: validation loss is non-finite")
 
     @pytest.mark.parametrize("line", ["sr_ratio=0", "sr_ratio=5"])
     def test_bad_sr_ratio_is_usage_error(self, tmp_path, line, capsys):
@@ -455,6 +480,67 @@ class TestEvalAndShowcase:
         assert np.array_equal(got, as_cells(1.0 - loss_mask[0]))
 
 
+@pytest.fixture(scope="module")
+def ett_run(tmp_path_factory):
+    """(exit code, --data value, checkpoint) of a 7-channel model trained for
+    one epoch on etth:PATH, PATH a synthetic file of ETTh1's shape."""
+    root = tmp_path_factory.mktemp("ett")
+    data = "etth:" + write_ett_csv(root / "ETTh1.csv", 17420)
+    config = root / "config.txt"
+    config.write_text(SMALL + "n_clusters=4\n")
+    out = str(root / "run")
+    code = main(["train", "--data", data, "--config", str(config), "--out", out,
+                 "--quiet"])
+    return code, data, os.path.join(out, "model.awn")
+
+
+def run_cli(*argv):
+    """`adawave` in a fresh process, where numpy has shown none of the
+    warnings it gives once per code location."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, "-m", "adawavenet.cli", *argv],
+                          capture_output=True, text=True, env=env)
+
+
+class TestEtth:
+    def test_train_and_eval(self, ett_run, capsys):
+        code, data, ckpt = ett_run
+        assert code == EXIT_OK
+        capsys.readouterr()
+        assert main(["eval", "--data", data, "--checkpoint", ckpt]) == EXIT_OK
+        assert capsys.readouterr().out.startswith("task=forecast test MSE=")
+
+    @pytest.mark.parametrize("names,value,forecast_code", [
+        (("attention.w_q", "attention.w_k"), 1e200, EXIT_NUMERICAL),
+        (("trend.weights",), 1e300, EXIT_OK)], ids=["attention", "trend"])
+    @pytest.mark.parametrize("command", ["eval", "forecast"])
+    def test_overflowing_checkpoint(self, ett_run, tmp_path, command, names,
+                                    value, forecast_code):
+        """Finite parameters whose forward overflows: the attention softmax
+        makes the predictions NaN, while the trend head's stay finite but
+        their squared error is inf. A numerical failure is one stderr line
+        and writes nothing; a finite forecast warns about nothing."""
+        _, data, ckpt = ett_run
+        config, arrays = load_checkpoint(ckpt)
+        for name in names:
+            arrays[name][...] = value
+        big = str(tmp_path / "big.awn")
+        save_checkpoint(big, config, arrays)
+        out = tmp_path / "o"
+        argv = [command, "--data", data, "--checkpoint", big]
+        proc = run_cli(*argv + (["--out", str(out)] if command == "forecast" else []))
+        if command == "forecast" and forecast_code == EXIT_OK:
+            assert (proc.returncode, proc.stderr) == (EXIT_OK, "")
+            assert np.isfinite(read_csv_cells(out / "forecast.csv").astype(float)).all()
+        else:
+            assert proc.returncode == EXIT_NUMERICAL
+            assert proc.stderr.startswith("numerical failure:")
+            assert proc.stderr.count("\n") == 1
+            assert not out.exists()
+
+
 class TestSynth:
     def test_outputs(self, tmp_path):
         out = str(tmp_path / "syn")
@@ -522,10 +608,14 @@ class TestBench:
     def test_partial_run_exits_data(self, tmp_path):
         manifest = tmp_path / "m.json"
         manifest.write_text(json.dumps(
-            {"cells": [{"dataset": "/nonexistent/a.csv", "seeds": [0]}]}))
+            {"cells": [{"dataset": "/nonexistent/a.csv", "seeds": [0]},
+                       {"dataset": "etth:/nonexistent/b.csv", "seeds": [0]}]}))
         code = main(["bench", "--manifest", str(manifest),
                      "--out", str(tmp_path / "out"), "--quiet"])
         assert code == EXIT_DATA
+        report = (tmp_path / "out" / "report.md").read_text()
+        assert "- /nonexistent/a.csv: dataset file not found" in report
+        assert "- etth:/nonexistent/b.csv: dataset file not found" in report
 
     def test_synth_cell_runs(self, tmp_path, capsys):
         manifest = tmp_path / "m.json"
