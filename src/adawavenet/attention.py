@@ -15,7 +15,7 @@ from .tensor import Tensor
 
 
 class AttentionHead:
-    def __init__(self, seq_len: int, target_len: int, d_model: int, heads: int,
+    def __init__(self, seq_len: int, d_model: int, heads: int,
                  rng: np.random.Generator):
         if d_model % heads != 0:
             raise T.TensorError("d_model must be divisible by the head count")
@@ -29,8 +29,8 @@ class AttentionHead:
         # embed/target start as mutually inverse truncated identities so the
         # layer is exactly invertible-by-construction at init
         self.w_embed = Tensor(np.eye(seq_len, d_model), requires_grad=True)
-        self.w_target = Tensor(np.eye(d_model, target_len), requires_grad=True)
-        self.b_target = Tensor(np.zeros(target_len), requires_grad=True)
+        self.w_target = Tensor(np.eye(d_model, seq_len), requires_grad=True)
+        self.b_target = Tensor(np.zeros(seq_len), requires_grad=True)
         scale = 1.0 / np.sqrt(d_model)
         self.w_q = rand((d_model, d_model), scale)
         self.w_k = rand((d_model, d_model), scale)
@@ -46,7 +46,7 @@ class AttentionHead:
                 "ln_shift": self.ln_shift}
 
     def project_approximation(self, x: Tensor) -> Tensor:
-        """x: [B, C, seq_len] -> [B, C, target_len]."""
+        """x: [B, C, seq_len] -> [B, C, seq_len]."""
         if x.shape[-1] != self.seq_len:
             raise T.TensorError(
                 f"expected sequences of length {self.seq_len}, got {x.shape[-1]}")

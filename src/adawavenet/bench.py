@@ -17,12 +17,12 @@ from .baselines import LinearBaseline, baseline_persistence
 from .config import (ConfigError, ModelConfig, TrainConfig, build, read_text,
                      to_text)
 from .data import Dataset, DataError, MaskSpec, build_dataset, load_csv, windows
-from .metrics import metrics
+from .metrics import metrics, within_jensen
 from .model import AdaWaveNet
 from .svgplot import save_chart
 from .synth import SynthSpec, denoised_target, generate
-from .tensor import no_grad
-from .train import _scored_batches, build_model, train
+from .tensor import NumericalError, Tensor, no_grad
+from .train import EVAL_BATCH, build_model, score_split, train
 
 # synthetic signals: 1024 points, first 512 for fitting (training plus the
 # validation tail used for early stopping), last 512 held out
@@ -45,10 +45,9 @@ class RunResult:
     seed: int
 
     def __post_init__(self):
-        if not (self.mse >= 0 and self.mae >= 0):
-            raise ValueError(f"RunResult: negative or NaN error (mse={self.mse}, mae={self.mae})")
-        if not self.mae <= np.sqrt(self.mse) + 1e-12:
-            raise ValueError(f"RunResult: MAE {self.mae} exceeds sqrt(MSE) {np.sqrt(self.mse)}")
+        if not (self.mse >= 0 and self.mae >= 0 and within_jensen(self.mse, self.mae)):
+            raise ValueError(f"RunResult: (mse={self.mse}, mae={self.mae}) is not "
+                             f"0 <= MAE <= sqrt(MSE)")
 
 
 def config_hash(model_cfg: ModelConfig, train_cfg: TrainConfig) -> str:
@@ -80,27 +79,16 @@ def resolve_dataset(name: str, seed: int = 0) -> Dataset:
 
 # -- per-task evaluation -----------------------------------------------------
 
-def _evaluate(model: AdaWaveNet, dataset: Dataset, task: str,
-              mask_spec: MaskSpec | None = None, sr_ratio: int = 1):
-    """(MSE, MAE) over every test window; masked for imputation."""
-    cfg = model.config
-    xs, ys = windows(dataset, "test", cfg.input_len, cfg.pred_len, task)
-    preds, tgts, masks = zip(*_scored_batches(model, task, xs, ys, mask_spec,
-                                              sr_ratio))
-    mask = None if masks[0] is None else np.concatenate(masks)
-    return metrics(np.concatenate(preds), np.concatenate(tgts), mask=mask)
-
-
 def evaluate_forecast(model: AdaWaveNet, dataset: Dataset):
-    return _evaluate(model, dataset, "forecast")
+    return score_split(model, dataset, "test", "forecast")
 
 
 def evaluate_impute(model: AdaWaveNet, dataset: Dataset, mask_spec: MaskSpec):
-    return _evaluate(model, dataset, "impute", mask_spec=mask_spec)
+    return score_split(model, dataset, "test", "impute", mask_spec=mask_spec)
 
 
 def evaluate_superres(model: AdaWaveNet, dataset: Dataset, ratio: int):
-    return _evaluate(model, dataset, "superres", sr_ratio=ratio)
+    return score_split(model, dataset, "test", "superres", sr_ratio=ratio)
 
 
 def evaluate_task(model: AdaWaveNet, dataset: Dataset,
@@ -108,7 +96,7 @@ def evaluate_task(model: AdaWaveNet, dataset: Dataset,
     """(MSE, MAE) of the model on the task it was configured for; mask_spec
     is used only by imputation."""
     cfg = model.config
-    return _evaluate(model, dataset, cfg.task, mask_spec, cfg.sr_ratio)
+    return score_split(model, dataset, "test", cfg.task, mask_spec, cfg.sr_ratio)
 
 
 # -- synthetic case study ----------------------------------------------------
@@ -140,8 +128,8 @@ def case_study(family: str = "simple", seed: int = 0,
     xs, _ = windows(dataset, "test", L, Lp, "forecast")
     _, ys = windows(replace(dataset, values=clean), "test", L, Lp, "forecast")
     with no_grad():
-        preds = np.concatenate([p for p, _, _ in _scored_batches(model, "forecast",
-                                                                 xs, ys)])
+        preds = np.concatenate([model.forward(Tensor(xs[i:i + EVAL_BATCH])).data
+                                for i in range(0, len(xs), EVAL_BATCH)])
     lin = LinearBaseline(L, Lp).fit(dataset, train_cfg)    # reads no patience
     return {"model": metrics(preds, ys), "linear": metrics(lin.predict(xs), ys),
             "persistence": metrics(baseline_persistence(xs, Lp), ys),
@@ -197,24 +185,22 @@ def run_cell(cell: dict, seed: int, verbose: bool = False) -> RunResult:
 
 
 def run_benchmark(manifest: dict, out_dir: str, verbose: bool = False):
-    """Execute every (cell, seed) pair; missing datasets skip with a notice.
+    """Execute every (cell, seed) pair. A missing dataset skips the run and a
+    numerical failure fails it, each with a notice; the runs scored are
+    written all the same.
 
-    Returns (results, skipped_notices).
+    Returns (results, skipped_notices, failed_notices).
     """
     os.makedirs(out_dir, exist_ok=True)
-    results, skipped = [], []
-    for cell in manifest.get("cells", []):
+    results, skipped, failed = [], [], []
+    for i, cell in enumerate(manifest.get("cells", [])):
         for seed in cell.get("seeds", [0]):
             try:
                 results.append(run_cell(cell, seed, verbose=verbose))
             except DataError as exc:
                 skipped.append(f"{cell.get('dataset')}: {exc}")
-    write_results(results, skipped, out_dir)
-    return results, skipped
-
-
-def write_results(results: list[RunResult], skipped: list[str], out_dir: str):
-    os.makedirs(out_dir, exist_ok=True)
+            except NumericalError as exc:
+                failed.append(f"cell {i} ({cell.get('dataset')}), seed {seed}: {exc}")
     with open(os.path.join(out_dir, "results.csv"), "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["task", "dataset", "setting", "mse", "mae",
@@ -224,7 +210,8 @@ def write_results(results: list[RunResult], skipped: list[str], out_dir: str):
                              f"{r.mae:.6f}", f"{r.runtime_s:.2f}",
                              r.config_hash, r.seed])
     with open(os.path.join(out_dir, "report.md"), "w") as fh:
-        fh.write(format_report(results, skipped))
+        fh.write(format_report(results, skipped, failed))
+    return results, skipped, failed
 
 
 def aggregate(results: list[RunResult]):
@@ -243,7 +230,8 @@ def aggregate(results: list[RunResult]):
     return rows
 
 
-def format_report(results: list[RunResult], skipped: list[str]) -> str:
+def format_report(results: list[RunResult], skipped: list[str],
+                  failed: list[str] = ()) -> str:
     lines = ["# Benchmark report", ""]
     if results:
         lines += ["| task | dataset | setting | seeds | MSE | MAE |",
@@ -256,9 +244,9 @@ def format_report(results: list[RunResult], skipped: list[str]) -> str:
                 f"| {row['mae_mean']:.3f} ± {row['mae_std']:.3f} |")
     else:
         lines.append("_no results_")
-    if skipped:
-        lines += ["", "## Skipped cells", ""]
-        lines += [f"- {s}" for s in skipped]
+    for title, notices in (("Skipped cells", skipped), ("Failed runs", failed)):
+        if notices:
+            lines += ["", f"## {title}", ""] + [f"- {s}" for s in notices]
     lines.append("")
     return "\n".join(lines)
 

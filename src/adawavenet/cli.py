@@ -224,8 +224,13 @@ def cmd_decompose(args):
 
 def cmd_bench(args):
     manifest = B.load_manifest(args.manifest)
-    results, skipped = B.run_benchmark(manifest, args.out, verbose=not args.quiet)
-    print(B.format_report(results, skipped), end="")
+    results, skipped, failed = B.run_benchmark(manifest, args.out,
+                                               verbose=not args.quiet)
+    print(B.format_report(results, skipped, failed), end="")
+    if failed:
+        print(f"numerical failure: {len(failed)} run(s) failed, listed in "
+              f"{os.path.join(args.out, 'report.md')}", file=sys.stderr)
+        return EXIT_NUMERICAL
     if skipped:
         print(f"{len(skipped)} cell(s) skipped", file=sys.stderr)
         return EXIT_DATA

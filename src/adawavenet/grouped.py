@@ -85,11 +85,7 @@ def fit_clustering(trend_samples: np.ndarray, k: int, seed: int = 0) -> np.ndarr
     each channel's cluster index."""
     if trend_samples.ndim != 3 or trend_samples.shape[0] < 1:
         raise ClusteringError("trend_samples must be [S, C, L] with S >= 1")
-    C = trend_samples.shape[1]
-    if k > C:
-        raise ClusteringError(f"k={k} exceeds channel count {C}")
-    feats = channel_features(trend_samples)
-    return kmeans(feats, k, seed=seed)[0]
+    return kmeans(channel_features(trend_samples), k, seed=seed)[0]
 
 
 class GroupedLinear:

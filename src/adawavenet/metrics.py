@@ -5,29 +5,38 @@ import numpy as np
 
 from .tensor import NumericalError
 
+def within_jensen(mse: float, mae: float) -> bool:
+    """MAE <= sqrt(MSE) (Jensen), up to a relative 1e-12 for the rounding of
+    the sums behind both."""
+    return mae <= np.sqrt(mse) * (1.0 + 1e-12)
 
-def metrics(pred: np.ndarray, target: np.ndarray, mask: np.ndarray | None = None):
-    """(MSE, MAE); with a binary mask, averaged over mask==1 positions only.
+
+def score(batches):
+    """(MSE, MAE) over (prediction, target, mask) batches; a binary mask keeps
+    only the mask==1 positions, a None mask keeps all. Only the squared-error
+    sum, the absolute-error sum and the scored count outlive a batch.
     A non-finite MSE or MAE is a NumericalError."""
-    if pred.shape != target.shape:
-        raise ValueError(f"shape mismatch {pred.shape} vs {target.shape}")
-    if mask is not None:
-        if mask.shape != pred.shape:
-            raise ValueError("mask shape mismatch")
-        denom = mask.sum()
-        if denom == 0:
-            raise ValueError("empty mask")
-    with np.errstate(over="ignore", invalid="ignore"):   # checked just below
-        err = pred - target
-        if mask is not None:
-            mse = float((mask * err ** 2).sum() / denom)
-            mae = float((mask * np.abs(err)).sum() / denom)
-        else:
-            mse = float((err ** 2).mean())
-            mae = float(np.abs(err).mean())
+    sq = ab = count = 0.0
+    for pred, target, mask in batches:
+        if pred.shape != target.shape or (mask is not None and mask.shape != pred.shape):
+            raise ValueError(f"shape mismatch: prediction {pred.shape}, target "
+                             f"{target.shape}, mask {getattr(mask, 'shape', None)}")
+        with np.errstate(over="ignore", invalid="ignore"):   # checked below
+            err = pred - target
+            keep = 1.0 if mask is None else mask
+            sq += float((keep * err ** 2).sum())
+            ab += float((keep * np.abs(err)).sum())
+        count += err.size if mask is None else float(mask.sum())
+    if count == 0:
+        raise ValueError("empty mask")
+    mse, mae = sq / count, ab / count
     if not (np.isfinite(mse) and np.isfinite(mae)):
         raise NumericalError(f"metrics: non-finite error (MSE={mse}, MAE={mae})")
-    # Jensen: E|e| <= sqrt(E e^2)
-    if not mae <= np.sqrt(mse) + 1e-12:
+    if not within_jensen(mse, mae):
         raise ValueError(f"metrics: MAE {mae} exceeds sqrt(MSE) {np.sqrt(mse)}")
     return mse, mae
+
+
+def metrics(pred: np.ndarray, target: np.ndarray, mask: np.ndarray | None = None):
+    """`score` of one batch."""
+    return score([(pred, target, mask)])

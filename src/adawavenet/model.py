@@ -61,9 +61,8 @@ class AdaWaveNet:
             raise ValueError("cluster assignments channel count mismatch")
         self.levels = [LiftingLevel(channels, config.kernel_size)
                        for _ in range(config.levels)]
-        self.head = AttentionHead(config.final_len, config.final_len,
-                                  d_model=config.d_model, heads=config.heads,
-                                  rng=rng)
+        self.head = AttentionHead(config.final_len, d_model=config.d_model,
+                                  heads=config.heads, rng=rng)
         self.trend_head = GroupedLinear(assignments, config.n_clusters,
                                         config.input_len, config.pred_len)
         self.revin = RevIN(channels) if config.revin else None

@@ -11,10 +11,12 @@ from .config import ModelConfig, TrainConfig
 from .data import DataError, Dataset, MaskSpec, downsample, make_mask, windows
 from .decompose import decompose
 from .grouped import fit_clustering
+from .metrics import score
 from .model import AdaWaveNet, zoh_upsample
 from .tensor import NumericalError, Tensor
 
 MAX_FEATURE_WINDOWS = 512   # leading train windows whose trends feed k-means
+EVAL_BATCH = 64             # windows per scoring forward
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 
 
@@ -103,32 +105,30 @@ def _prepare_batch(task, xs, ys, idx, mask_spec, sr_ratio, mask_salt):
     raise ValueError(f"unknown task {task!r}")
 
 
-def _scored_batches(model: AdaWaveNet, task: str, xs, ys,
-                    mask_spec: MaskSpec | None = None, sr_ratio: int = 1):
-    """Yield (prediction, target, loss_mask) numpy batches of 64 windows in
-    order; imputation masks use salt 0, so every call scores the same masks."""
-    for start in range(0, len(xs), 64):
-        idx = np.arange(start, min(start + 64, len(xs)))
-        inp, tgt, lm = _prepare_batch(task, xs, ys, idx, mask_spec, sr_ratio,
-                                      mask_salt=0)
-        yield model.forward(Tensor(inp)).data, tgt, lm
+def score_split(model: AdaWaveNet, dataset: Dataset, split: str, task: str,
+                mask_spec: MaskSpec | None = None, sr_ratio: int = 1):
+    """(MSE, MAE) of the model's predictions over a split's windows, fed to
+    `metrics.score` one batch of EVAL_BATCH windows at a time; imputation
+    masks use salt 0, so every call scores the same masks."""
+    cfg = model.config
+    xs, ys = windows(dataset, split, cfg.input_len, cfg.pred_len, task)
+
+    def batches():
+        for start in range(0, len(xs), EVAL_BATCH):
+            idx = np.arange(start, min(start + EVAL_BATCH, len(xs)))
+            inp, tgt, lm = _prepare_batch(task, xs, ys, idx, mask_spec, sr_ratio,
+                                          mask_salt=0)
+            yield model.forward(Tensor(inp)).data, tgt, lm
+    return score(batches())
 
 
 def evaluate(model: AdaWaveNet, dataset: Dataset, split: str,
              mask_spec: MaskSpec | None = None):
-    """Average loss (masked for imputation) over a split."""
+    """Mean squared error (masked for imputation) over a split."""
     cfg = model.config
-    xs, ys = windows(dataset, split, cfg.input_len, cfg.pred_len, cfg.task)
-    total, weight = 0.0, 0.0
     with T.no_grad():
-        for pred, tgt, lm in _scored_batches(model, cfg.task, xs, ys, mask_spec,
-                                             cfg.sr_ratio):
-            loss = T.mse(Tensor(pred), Tensor(tgt),
-                         mask=Tensor(lm) if lm is not None else None)
-            w = lm.sum() if lm is not None else tgt.size
-            total += loss.item() * w
-            weight += w
-    return total / weight
+        return score_split(model, dataset, split, cfg.task, mask_spec,
+                           cfg.sr_ratio)[0]
 
 
 def train(model: AdaWaveNet, dataset: Dataset, train_cfg: TrainConfig,
@@ -157,9 +157,11 @@ def train(model: AdaWaveNet, dataset: Dataset, train_cfg: TrainConfig,
             model, params, state, train_cfg, rng.permutation(len(xs)),
             lambda idx: _prepare_batch(cfg.task, xs, ys, idx, mask_spec,
                                        cfg.sr_ratio, mask_salt=epoch + 1))
-        val_loss = evaluate(model, dataset, "val", mask_spec=mask_spec)
-        if not np.isfinite(val_loss):
-            raise NumericalError(_nan_diagnostic(params, "validation loss is non-finite"))
+        try:
+            val_loss = evaluate(model, dataset, "val", mask_spec=mask_spec)
+        except NumericalError:
+            raise NumericalError(_nan_diagnostic(
+                params, "validation loss is non-finite")) from None
         seconds = time.time() - t_start
         history.append((epoch, train_loss, val_loss, train_cfg.learning_rate,
                         seconds))

@@ -1,5 +1,6 @@
 import contextlib
 import json
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -17,7 +18,7 @@ from adawavenet.bench import (SYNTH_FRACTIONS, RunResult, aggregate,
 from adawavenet.config import ConfigError, ModelConfig, TrainConfig
 from adawavenet.data import (DataError, MaskSpec, build_dataset, downsample,
                              load_csv, make_mask, windows)
-from adawavenet.metrics import metrics
+from adawavenet.metrics import metrics, score
 from adawavenet.model import AdaWaveNet, zoh_upsample
 from adawavenet.tensor import NumericalError, Tensor
 from adawavenet.train import _prepare_batch, build_model, evaluate
@@ -60,6 +61,31 @@ class TestMetrics:
     def test_nan_prediction_rejected(self):
         with pytest.raises(ValueError):
             metrics(np.array([1.0, np.nan]), np.zeros(2))
+
+    def test_equal_large_errors_pass_jensen(self):
+        """MAE == sqrt(MSE) up to rounding; an absolute slack failed here."""
+        c, n = 30052863.743084725, 104
+        mse, mae = metrics(np.full(n, c), np.zeros(n))
+        assert (mse, mae) == (approx(c * c, rel=1e-15), approx(c, rel=1e-15))
+        RunResult("forecast", "d", "s", mse=mse, mae=mae, runtime_s=0.0,
+                  config_hash="x", seed=0)
+
+    @pytest.mark.parametrize("masked", [False, True])
+    def test_score_sums_batches(self, rng, masked):
+        """Scoring batches equals scoring their concatenation; a batch with an
+        empty mask adds nothing, an empty total is rejected."""
+        shapes = [(5, 2, 8), (3, 2, 8), (1, 2, 8)]
+        batches = [(rng.normal(size=s), rng.normal(size=s),
+                    (rng.random(s) < 0.5).astype(float) if masked else None)
+                   for s in shapes]
+        if masked:
+            batches[1][2][...] = 0.0
+        preds, tgts, masks = zip(*batches)
+        whole = metrics(np.concatenate(preds), np.concatenate(tgts),
+                        np.concatenate(masks) if masked else None)
+        np.testing.assert_allclose(score(batches), whole, rtol=1e-12, atol=0.0)
+        with pytest.raises(ValueError, match="empty mask"):
+            score([batches[0][:2] + (np.zeros(shapes[0]),)])
 
     @pytest.mark.parametrize("pred", [[1e200, 0.0], [np.inf, 0.0]],
                              ids=["overflowing", "infinite"])
@@ -201,8 +227,8 @@ class TestReportAndManifest:
     def test_run_benchmark_skips_missing_dataset(self, tmp_path):
         manifest = {"cells": [{"dataset": "/nonexistent/never.csv",
                                "seeds": [0]}]}
-        results, skipped = run_benchmark(manifest, str(tmp_path / "out"))
-        assert results == []
+        results, skipped, failed = run_benchmark(manifest, str(tmp_path / "out"))
+        assert results == [] and failed == []
         assert len(skipped) == 1
         assert (tmp_path / "out" / "report.md").exists()
         assert (tmp_path / "out" / "results.csv").exists()
@@ -212,8 +238,8 @@ class TestReportAndManifest:
                                "levels": 2, "kernel_size": 3, "input_len": 48,
                                "pred_len": 48, "max_epochs": 1,
                                "learning_rate": 1e-3}]}
-        results, skipped = run_benchmark(manifest, str(tmp_path / "out"))
-        assert skipped == []
+        results, skipped, failed = run_benchmark(manifest, str(tmp_path / "out"))
+        assert skipped == [] and failed == []
         assert len(results) == 1
         assert results[0].task == "forecast"
         assert np.isfinite(results[0].mse)
@@ -450,10 +476,45 @@ def _reference_train_evaluate(model, dataset, split, mask_spec=None, batch_size=
     return total / weight
 
 
+class TestScoringMemory:
+    """Scoring holds one batch: the tracemalloc peak of an evaluator, under
+    no_grad, barely grows when the test split has 4x the windows."""
+
+    @staticmethod
+    def peak_mb(evaluator, windows_count):
+        cfg = ModelConfig()
+        test_rows = windows_count + cfg.input_len + cfg.pred_len - 1
+        t = np.arange(4 * test_rows)
+        data = np.stack([np.sin(2 * np.pi * t / (20 + 3 * c)) for c in range(7)])
+        dataset = build_dataset([f"c{c}" for c in range(7)], data,
+                                (0.5, 0.25, 0.25))
+        model = build_model(dataset, cfg)
+        with T.no_grad():
+            tracemalloc.start()
+            try:
+                evaluator(model, dataset)
+                return tracemalloc.get_traced_memory()[1] / 1e6
+            finally:
+                tracemalloc.stop()
+
+    @pytest.mark.parametrize("evaluator", [
+        evaluate_forecast,
+        lambda model, dataset: evaluate_impute(model, dataset, MaskSpec(seed=0))],
+        ids=["forecast", "impute"])
+    def test_peak_does_not_follow_the_split(self, evaluator):
+        small, large = self.peak_mb(evaluator, 512), self.peak_mb(evaluator, 2048)
+        assert large < 1.5 * small, (small, large)
+
+
+def assert_close(got, want):
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+
+
 class TestEvaluatorsMatchReference:
-    """Bitwise equality with the reference evaluators on a test split of 97
-    forecast windows and 113 input-only windows: two batches of 64, the last
-    one partial."""
+    """Agreement to 1e-12 relative with the reference evaluators on a test
+    split of 97 forecast windows and 113 input-only windows: two batches of
+    64, the last one partial. The evaluators sum errors batch by batch and
+    the references over the concatenated batches, so the sums round apart."""
 
     @pytest.fixture(scope="class")
     def dataset(self):
@@ -479,23 +540,23 @@ class TestEvaluatorsMatchReference:
 
     def test_forecast(self, dataset):
         model = self.model(dataset, "forecast")
-        assert evaluate_forecast(model, dataset) == \
-            _reference_evaluate_forecast(model, dataset)
+        assert_close(evaluate_forecast(model, dataset),
+                     _reference_evaluate_forecast(model, dataset))
         for split in ("val", "test"):
-            assert evaluate(model, dataset, split) == \
-                _reference_train_evaluate(model, dataset, split)
+            assert_close(evaluate(model, dataset, split),
+                         _reference_train_evaluate(model, dataset, split))
 
     def test_impute(self, dataset):
         model = self.model(dataset, "impute")
         spec = MaskSpec("random", 0.25, seed=5)
-        assert evaluate_impute(model, dataset, spec) == \
-            _reference_evaluate_impute(model, dataset, spec)
-        assert evaluate(model, dataset, "test", mask_spec=spec) == \
-            _reference_train_evaluate(model, dataset, "test", mask_spec=spec)
+        assert_close(evaluate_impute(model, dataset, spec),
+                     _reference_evaluate_impute(model, dataset, spec))
+        assert_close(evaluate(model, dataset, "test", mask_spec=spec),
+                     _reference_train_evaluate(model, dataset, "test", mask_spec=spec))
 
     def test_superres(self, dataset):
         model = self.model(dataset, "superres", sr_ratio=4)
-        assert evaluate_superres(model, dataset, 4) == \
-            _reference_evaluate_superres(model, dataset, 4)
-        assert evaluate(model, dataset, "test") == \
-            _reference_train_evaluate(model, dataset, "test")
+        assert_close(evaluate_superres(model, dataset, 4),
+                     _reference_evaluate_superres(model, dataset, 4))
+        assert_close(evaluate(model, dataset, "test"),
+                     _reference_train_evaluate(model, dataset, "test"))

@@ -21,7 +21,7 @@ from adawavenet.config import ModelConfig
 from adawavenet.model import (AdaWaveNet, load_checkpoint, model_state,
                               restore_model, save_checkpoint)
 from adawavenet.tensor import Tensor
-from adawavenet.train import _prepare_batch, _scored_batches
+from adawavenet.train import _prepare_batch
 
 from conftest import write_ett_csv
 
@@ -469,13 +469,13 @@ class TestEvalAndShowcase:
         out = str(tmp_path / "imp")
         assert main(["impute", "--data", "synth:simple", "--checkpoint", ckpt,
                      "--out", out] + seed_args) == EXIT_OK
-        config, arrays = load_checkpoint(ckpt)
-        model = restore_model(config, arrays)
+        config, _ = load_checkpoint(ckpt)
         dataset = resolve_dataset("synth:simple", seed=config.seed)
         xs, ys = windows(dataset, "test", config.input_len, config.pred_len,
                          "impute")
         spec = MaskSpec(mode="random", ratio=0.25, seed=mask_seed)
-        _, _, loss_mask = next(_scored_batches(model, "impute", xs, ys, spec))
+        _, _, loss_mask = _prepare_batch("impute", xs, ys, np.arange(1), spec, 1,
+                                         mask_salt=0)
         got = read_csv_cells(os.path.join(out, "mask.csv"))
         assert np.array_equal(got, as_cells(1.0 - loss_mask[0]))
 
@@ -630,6 +630,26 @@ class TestBench:
         assert os.path.exists(os.path.join(out, "results.csv"))
         with open(os.path.join(out, "report.md")) as fh:
             assert capsys.readouterr().out == fh.read()
+
+    def test_numerical_failure_keeps_scored_cells(self, tmp_path, capsys):
+        """A cell whose one Adam step of 1e300 overflows fails alone: the
+        first cell's row is written, the report names the failed run, and
+        the exit is 3 with one stderr line."""
+        cell = {"dataset": "synth:simple", "seeds": [0], "levels": 2,
+                "kernel_size": 3, "input_len": 48, "pred_len": 48,
+                "max_epochs": 1}
+        manifest = tmp_path / "m.json"
+        manifest.write_text(json.dumps({"cells": [
+            cell, {**cell, "learning_rate": 1e300, "batch_size": 100000}]}))
+        out = tmp_path / "out"
+        code = main(["bench", "--manifest", str(manifest), "--out", str(out),
+                     "--quiet"])
+        assert code == EXIT_NUMERICAL
+        assert one_line_error(capsys, "numerical failure: 1 run(s) failed")
+        rows = list(csv.reader((out / "results.csv").open()))
+        assert len(rows) == 2 and rows[1][:2] == ["forecast", "synth:simple"]
+        assert ("- cell 1 (synth:simple), seed 0: validation loss is non-finite"
+                in (out / "report.md").read_text())
 
     @pytest.mark.parametrize("text", [
         '{"cells": [', None, '[{"dataset": "synth:simple"}]',

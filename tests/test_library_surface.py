@@ -76,3 +76,11 @@ def unused_definitions():
 def test_every_library_definition_is_used_by_the_program():
     """Exactly the ALLOWED definitions are unused, so a stale entry fails too."""
     assert sorted(unused_definitions()) == sorted(ALLOWED)
+
+
+def test_library_has_no_assert_statement():
+    """Invariants raise exceptions: `python -O` strips every assert."""
+    asserts = [f"{path.name}:{node.lineno}" for path in LIBRARY
+               for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+               if isinstance(node, ast.Assert)]
+    assert asserts == []
