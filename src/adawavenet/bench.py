@@ -16,7 +16,8 @@ import numpy as np
 from .baselines import LinearBaseline, baseline_persistence
 from .config import (ConfigError, ModelConfig, TrainConfig, build, read_text,
                      to_text)
-from .data import Dataset, DataError, MaskSpec, build_dataset, load_csv, windows
+from .data import (Dataset, DataError, MaskSpec, build_dataset, load_csv,
+                   normalize, windows)
 from .metrics import metrics, within_jensen
 from .model import AdaWaveNet
 from .svgplot import save_chart
@@ -24,6 +25,7 @@ from .synth import SynthSpec, denoised_target, generate
 from .tensor import NumericalError, Tensor, no_grad
 from .train import EVAL_BATCH, build_model, score_split, train
 
+CSV_FRACTIONS = (0.7, 0.1, 0.2)     # a plain CSV file
 # synthetic signals: 1024 points, first 512 for fitting (training plus the
 # validation tail used for early stopping), last 512 held out
 SYNTH_FRACTIONS = (0.3125, 0.1875, 0.5)
@@ -58,7 +60,7 @@ def config_hash(model_cfg: ModelConfig, train_cfg: TrainConfig) -> str:
 def resolve_dataset(name: str, seed: int = 0) -> Dataset:
     """The dataset a --data value names: ``synth:<family>`` (generated with
     ``seed``), ``etth:<path>`` (an hourly ETT CSV under the ETTh protocol) or
-    a CSV path (split 70/10/20)."""
+    a CSV path (split by CSV_FRACTIONS)."""
     if name.startswith("synth:"):
         family = name.split(":", 1)[1]
         return build_dataset([family], generate(SynthSpec(family=family, seed=seed)),
@@ -67,14 +69,13 @@ def resolve_dataset(name: str, seed: int = 0) -> Dataset:
     path = name[len("etth:"):] if etth else name
     if not os.path.exists(path):
         raise DataError(f"dataset file not found: {path}")
-    full = load_csv(path)
+    names, values = load_csv(path)
     if not etth:
-        return full
-    rows = full.values.shape[1]
+        return build_dataset(names, values, CSV_FRACTIONS)
+    rows = values.shape[1]
     if rows < ETTH_ROWS:
         raise DataError(f"{path}: {rows} data rows, the ETTh protocol needs {ETTH_ROWS}")
-    return build_dataset(full.channel_names, full.values[:, :ETTH_ROWS],
-                         ETTH_FRACTIONS)
+    return build_dataset(names, values[:, :ETTH_ROWS], ETTH_FRACTIONS)
 
 
 # -- per-task evaluation -----------------------------------------------------
@@ -113,9 +114,8 @@ def case_study(family: str = "simple", seed: int = 0,
     """
     spec = SynthSpec(family=family, seed=seed, variance_shift=variance_shift,
                      step_change=step_change)
-    noisy = generate(spec)
-    clean = denoised_target(spec)
-    dataset = build_dataset([family], noisy, SYNTH_FRACTIONS)
+    dataset = build_dataset([family], generate(spec), SYNTH_FRACTIONS)
+    clean = normalize(denoised_target(spec), dataset.mean, dataset.std)
     model_cfg = ModelConfig(seed=seed)
     train_cfg = TrainConfig(learning_rate=5e-3, max_epochs=200, patience=15,
                             seed=seed)

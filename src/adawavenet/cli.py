@@ -113,7 +113,6 @@ def cmd_train(args):
     print(f"best validation loss {best_val:.6f} after {len(history)} epochs")
     print(f"checkpoint: {ckpt}")
     print(f"log: {log_path}")
-    # cluster assignments for inspection
     _write_csv(os.path.join(args.out, "cluster_assignments.csv"),
                ["channel", "cluster"],
                np.stack([np.arange(model.channels),
@@ -195,8 +194,7 @@ def cmd_synth(args):
 
 
 def cmd_decompose(args):
-    window = load_csv(args.data, (1.0, 0.0, 0.0))   # the whole CSV is one window
-    names, values = window.channel_names, window.values
+    names, values = load_csv(args.data)     # the whole CSV is one raw window
     try:                # --ma-window and --levels are checked before any output
         parts = decompose(Tensor(values), args.ma_window)
         if args.wavelet:

@@ -17,23 +17,26 @@ class DataError(ValueError):
 @dataclass
 class Dataset:
     channel_names: list[str]
-    values: np.ndarray                 # [C, T_total], raw scale
+    values: np.ndarray                 # [C, T_total], normalized, read-only
     splits: dict[str, tuple[int, int]]  # name -> [start, stop)
     mean: np.ndarray                   # per-channel, train split only
     std: np.ndarray
 
     def split_values(self, split: str) -> np.ndarray:
-        """One split on the train split's normalized scale."""
+        """One split of the normalized panel, as a view."""
         start, stop = self.splits[split]
-        return (self.values[:, start:stop] - self.mean[:, None]) / self.std[:, None]
+        return self.values[:, start:stop]
 
 
-def load_csv(path: str, split_fractions=(0.7, 0.1, 0.2)) -> Dataset:
-    """Read a header + numeric-rows CSV in chronological order.
+def normalize(data: np.ndarray, mean: np.ndarray, std: np.ndarray) -> np.ndarray:
+    """Raw [C, T] values on the scale of the train split's mean and std."""
+    return (data - mean[:, None]) / std[:, None]
 
-    A leading non-numeric column (e.g. a date stamp) is dropped.
-    Normalization statistics come from the train split only.
-    """
+
+def load_csv(path: str) -> tuple[list[str], np.ndarray]:
+    """Read a header + numeric-rows CSV in chronological order into
+    (channel_names, values [C, T]); a leading non-numeric column (e.g. a date
+    stamp) is dropped."""
     try:
         with open(path, newline="", encoding="utf-8") as fh:
             rows = list(csv.reader(fh))
@@ -67,11 +70,11 @@ def load_csv(path: str, split_fractions=(0.7, 0.1, 0.2)) -> Dataset:
         if not all(math.isfinite(v) for v in row_values):
             raise DataError(f"{path}: line {i}: non-finite cell (nan or inf)")
         values.append(row_values)
-    data = np.asarray(values).T              # [C, T]
-    return build_dataset(names, data, split_fractions)
+    return names, np.asarray(values).T
 
 
 def build_dataset(names, data: np.ndarray, split_fractions) -> Dataset:
+    """Chronological splits of raw [C, T] data, normalized once (`normalize`)."""
     if abs(sum(split_fractions) - 1.0) > 1e-9:
         raise DataError("split fractions must sum to 1")
     total = data.shape[1]
@@ -86,15 +89,16 @@ def build_dataset(names, data: np.ndarray, split_fractions) -> Dataset:
     constant = std == 0
     if np.any(constant):
         warnings.warn(f"constant channels {np.where(constant)[0].tolist()}: std forced to 1")
-        std = std.copy()
         std[constant] = 1.0
-    return Dataset(channel_names=list(names), values=data, splits=splits,
+    values = normalize(data, mean, std)
+    values.flags.writeable = False
+    return Dataset(channel_names=list(names), values=values, splits=splits,
                    mean=mean, std=std)
 
 
 def windows(dataset: Dataset, split: str, input_len: int, pred_len: int, task: str):
     """Return (inputs, targets): read-only [N, C, *] views of every window of
-    a split on the normalized scale, sliding with stride 1.
+    a split, sliding with stride 1, into the dataset's normalized panel.
 
     Forecasting targets the following pred_len steps; imputation and
     super-resolution target the window itself, so targets is inputs.

@@ -81,8 +81,7 @@ def build_model(dataset: Dataset, config: ModelConfig) -> AdaWaveNet:
     if config.n_clusters > 1:
         xs, _ = windows(dataset, "train", config.input_len, config.pred_len,
                         config.task)
-        trends = np.stack([decompose(Tensor(w), config.ma_window).trend.data
-                           for w in xs[:MAX_FEATURE_WINDOWS]])
+        trends = decompose(Tensor(xs[:MAX_FEATURE_WINDOWS]), config.ma_window).trend.data
         assignments = fit_clustering(trends, config.n_clusters, seed=config.seed)
     return AdaWaveNet(config, channels=channels, assignments=assignments)
 
@@ -100,8 +99,7 @@ def _prepare_batch(task, xs, ys, idx, mask_spec, sr_ratio, mask_salt):
             for i in idx])
         return x * masks, y, 1.0 - masks
     if task == "superres":
-        low = downsample(x, sr_ratio)
-        return zoh_upsample(low, sr_ratio), y, None
+        return zoh_upsample(downsample(x, sr_ratio), sr_ratio), y, None
     raise ValueError(f"unknown task {task!r}")
 
 

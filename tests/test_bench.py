@@ -1,6 +1,7 @@
 import contextlib
 import json
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -160,9 +161,8 @@ def ett_csv(tmp_path_factory):
 class TestEtthDataset:
     def test_first_14400_rows_split_60_20_20(self, ett_csv):
         """etth:PATH is the 12/4/4-month protocol spelled out by hand."""
-        full = load_csv(ett_csv)
-        want = build_dataset(full.channel_names, full.values[:, :14400],
-                             (0.6, 0.2, 0.2))
+        names, values = load_csv(ett_csv)
+        want = build_dataset(names, values[:, :14400], (0.6, 0.2, 0.2))
         got = resolve_dataset(f"etth:{ett_csv}")
         assert got.channel_names == want.channel_names
         assert got.values.tobytes() == want.values.tobytes()
@@ -170,6 +170,20 @@ class TestEtthDataset:
         assert got.std.tobytes() == want.std.tobytes()
         assert got.splits == want.splits == {
             "train": (0, 8640), "val": (8640, 11520), "test": (11520, 14400)}
+
+    def test_constant_channel_warns_once(self, tmp_path):
+        """The file is parsed into one dataset, so its constant channel is
+        reported once."""
+        path = write_ett_csv(tmp_path / "flat.csv", 14400)
+        rows = [line.split(",") for line in Path(path).read_text().splitlines()]
+        for row in rows[1:11001]:      # channel 1 is flat over every train split
+            row[2] = "0.5"
+        Path(path).write_text("\n".join(map(",".join, rows)) + "\n")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            resolve_dataset(f"etth:{path}")
+        assert [str(w.message) for w in caught] == [
+            "constant channels [1]: std forced to 1"]
 
     def test_short_file_rejected(self, tmp_path):
         path = write_ett_csv(tmp_path / "short.csv", 14399)

@@ -583,6 +583,18 @@ class TestDecompose:
         orig = np.stack([np.sin(t), np.cos(t)], axis=1)
         assert np.abs(seasonal + trend - orig).max() < 1e-6
 
+    def test_constant_column_is_read_raw_without_a_warning(self, tmp_path):
+        """decompose splits the raw window; it computes no normalization, so
+        a constant column gives no constant-channel warning."""
+        data = tmp_path / "win.csv"
+        data.write_text("a,b\n" + "".join(f"3.5,{np.sin(i)}\n" for i in range(40)))
+        out = tmp_path / "o"
+        proc = run_cli("decompose", "--data", str(data), "--out", str(out),
+                       "--ma-window", "5")
+        assert (proc.returncode, proc.stderr) == (EXIT_OK, "")
+        trend = np.loadtxt(out / "trend.csv", delimiter=",", skiprows=1)
+        assert np.all(trend[:, 0] == 3.5)
+
     def test_even_window_is_usage_error(self, tmp_path, capsys):
         data = tmp_path / "win.csv"
         data.write_text("a\n1\n2\n3\n4\n")

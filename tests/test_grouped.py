@@ -126,7 +126,7 @@ class TestFitClustering:
         assert assignments[0] == assignments[1]
         assert assignments[0] == assignments[2]
 
-    def test_subsampling_keeps_result_finite(self, rng):
+    def test_every_channel_labelled_and_both_clusters_used(self, rng):
         assignments = fit_clustering(rng.normal(size=(700, 3, 8)), 2, seed=0)
         assert assignments.shape == (3,)
         assert set(assignments.tolist()) == {0, 1}

@@ -11,8 +11,9 @@ from adawavenet.config import ModelConfig, TrainConfig
 from adawavenet.data import MaskSpec, build_dataset
 from adawavenet.model import AdaWaveNet
 from adawavenet.tensor import Tensor
-from adawavenet.train import (AdamState, NumericalError, adam_step, build_model,
-                              clip_gradients, evaluate, train)
+from adawavenet.train import (MAX_FEATURE_WINDOWS, AdamState, NumericalError,
+                              adam_step, build_model, clip_gradients, evaluate,
+                              train)
 
 from conftest import passthrough_attention
 
@@ -280,3 +281,26 @@ class TestBuildModel:
         model = build_model(ds, tiny_config())
         assert model.config.n_clusters == 1
         assert np.array_equal(model.trend_head.assignments, np.zeros(2))
+
+    def test_clustering_reads_only_the_leading_train_windows(self, rng):
+        """Channels 0, 1 rise and 2, 3 fall over the rows the first
+        MAX_FEATURE_WINDOWS windows reach; past them, 1 and 2 swap direction
+        over three times as many windows. Only the leading rows decide."""
+        cfg = tiny_config(n_clusters=2)
+        reach = MAX_FEATURE_WINDOWS + cfg.input_len - 1
+        n_train = reach + 3 * MAX_FEATURE_WINDOWS
+        t = np.arange(n_train + 200) / 100.0
+        slopes = np.array([[1.0], [1.0], [-1.0], [-1.0]])
+        data = slopes * t + 0.01 * rng.normal(size=(4, len(t)))
+        late = data.copy()
+        late[:, reach:] = slopes[[0, 3, 0, 3]] * t[reach:] * 2
+
+        def assignments(panel):
+            ds = build_dataset(["a", "b", "c", "d"], panel,
+                               (n_train / len(t), 100 / len(t), 100 / len(t)))
+            assert ds.splits["train"] == (0, n_train)
+            return build_model(ds, cfg).trend_head.assignments
+
+        labels = assignments(data)
+        assert labels[0] == labels[1] != labels[2] == labels[3]
+        assert np.array_equal(assignments(late), labels)
