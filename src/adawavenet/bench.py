@@ -21,9 +21,9 @@ from .data import (Dataset, DataError, MaskSpec, build_dataset, load_csv,
 from .metrics import metrics, within_jensen
 from .model import AdaWaveNet
 from .svgplot import save_chart
-from .synth import SynthSpec, denoised_target, generate
+from .synth import SynthError, SynthSpec, denoised_target, generate
 from .tensor import NumericalError, Tensor, no_grad
-from .train import EVAL_BATCH, build_model, score_split, train
+from .train import EVAL_BATCH, build_model, evaluate, score_split, train
 
 CSV_FRACTIONS = (0.7, 0.1, 0.2)     # a plain CSV file
 # synthetic signals: 1024 points, first 512 for fitting (training plus the
@@ -90,14 +90,6 @@ def evaluate_impute(model: AdaWaveNet, dataset: Dataset, mask_spec: MaskSpec):
 
 def evaluate_superres(model: AdaWaveNet, dataset: Dataset, ratio: int):
     return score_split(model, dataset, "test", "superres", sr_ratio=ratio)
-
-
-def evaluate_task(model: AdaWaveNet, dataset: Dataset,
-                  mask_spec: MaskSpec | None = None):
-    """(MSE, MAE) of the model on the task it was configured for; mask_spec
-    is used only by imputation."""
-    cfg = model.config
-    return score_split(model, dataset, "test", cfg.task, mask_spec, cfg.sr_ratio)
 
 
 # -- synthetic case study ----------------------------------------------------
@@ -177,8 +169,7 @@ def run_cell(cell: dict, seed: int, verbose: bool = False) -> RunResult:
     t0 = time.time()
     model = build_model(dataset, model_cfg)
     train(model, dataset, train_cfg, mask_spec=mask_spec, verbose=verbose)
-    with no_grad():
-        mse, mae = evaluate_task(model, dataset, mask_spec)
+    mse, mae = evaluate(model, dataset, "test", mask_spec)
     return RunResult(task=task, dataset=name, setting=setting, mse=mse, mae=mae,
                      runtime_s=time.time() - t0,
                      config_hash=config_hash(model_cfg, train_cfg), seed=seed)
@@ -253,7 +244,8 @@ def format_report(results: list[RunResult], skipped: list[str],
 
 def load_manifest(path: str) -> dict:
     """A JSON object whose "cells" are objects, each naming a dataset and
-    listing its seeds; a malformed manifest or cell setting is a ConfigError."""
+    listing its seeds; a malformed manifest, cell setting or synthetic family
+    is a ConfigError."""
     try:
         manifest = json.loads(read_text(path))
     except json.JSONDecodeError as exc:
@@ -264,6 +256,12 @@ def load_manifest(path: str) -> dict:
             and isinstance(c.get("seeds", []), list) for c in cells)):
         raise ConfigError(f"{path}: cells must be objects with a dataset and seeds list")
     for cell in cells:          # settings errors surface before any run
+        name = cell["dataset"]
+        if name.startswith("synth:"):
+            try:
+                SynthSpec(family=name.split(":", 1)[1]).validate()
+            except SynthError as exc:
+                raise ConfigError(f"cell {name}: {exc}") from None
         for seed in cell.get("seeds", [0]):
             cell_configs(cell, seed)
             cell_mask_spec(cell, seed)

@@ -22,7 +22,7 @@ from .lifting import LiftingLevel, check_depth, lift_forward
 from .model import load_checkpoint, model_state, restore_model, save_checkpoint
 from .synth import SynthError, SynthSpec, denoised_target, generate
 from .tensor import NumericalError, Tensor, TensorError, no_grad
-from .train import _prepare_batch, build_model, train
+from .train import _prepare_batch, build_model, evaluate, train
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -95,19 +95,31 @@ def _test_window(model, dataset, task, index, mask_spec=None, sr_ratio=1):
     return inp[0], tgt[0], None if lm is None else lm[0], pred
 
 
+def _checkpoint_path(args):
+    """--checkpoint (default model.awn in --out), checked before any data is
+    read: not a directory, and in --out (which train creates) or in an
+    existing writable directory."""
+    ckpt = args.checkpoint or os.path.join(args.out, "model.awn")
+    folder = os.path.dirname(os.path.abspath(ckpt))
+    writable = os.path.isdir(folder) and os.access(folder, os.W_OK)
+    if os.path.isdir(ckpt) or not (writable or folder == os.path.abspath(args.out)):
+        raise UsageError(f"--checkpoint {ckpt} is not a file in a writable directory")
+    return ckpt
+
+
 def cmd_train(args):
     items = [] if args.config is None else read_items(read_text(args.config))
     if args.seed is not None:
         items.append(("--seed", "seed", args.seed))
     model_cfg, train_cfg = build((ModelConfig, TrainConfig), items)
     mask_spec = _mask_spec(args, model_cfg.seed)
+    ckpt = _checkpoint_path(args)
     dataset = B.resolve_dataset(args.data, seed=model_cfg.seed)
     model = build_model(dataset, model_cfg)
     os.makedirs(args.out, exist_ok=True)
     log_path = os.path.join(args.out, "training_log.csv")
     history, best_val = train(model, dataset, train_cfg, mask_spec=mask_spec,
                               log_path=log_path, verbose=not args.quiet)
-    ckpt = args.checkpoint or os.path.join(args.out, "model.awn")
     save_checkpoint(ckpt, model_cfg,
                     model_state(model, dataset.mean, dataset.std))
     print(f"best validation loss {best_val:.6f} after {len(history)} epochs")
@@ -122,8 +134,7 @@ def cmd_train(args):
 
 def cmd_eval(args):
     model, dataset = _load_model(args)
-    with no_grad():
-        mse, mae = B.evaluate_task(model, dataset, _mask_spec(args, model.config.seed))
+    mse, mae = evaluate(model, dataset, "test", _mask_spec(args, model.config.seed))
     print(f"task={model.config.task} test MSE={mse:.6f} MAE={mae:.6f}")
     return EXIT_OK
 

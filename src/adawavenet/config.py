@@ -28,7 +28,6 @@ class ModelConfig:
     input_len: int = 96
     pred_len: int = 96
     sr_ratio: int = 1
-    eq9_literal: bool = False
     seed: int = 0
 
     def validate(self) -> "ModelConfig":
@@ -135,7 +134,3 @@ def build(classes, items) -> tuple:
         except ValueError as exc:
             raise ConfigError(f"{where}: bad value for {key!r}: {exc}") from None
     return tuple(cls(**kw).validate() for cls, kw in zip(classes, kwargs))
-
-
-def from_text(cls, text: str):
-    return build((cls,), read_items(text))[0]

@@ -130,19 +130,20 @@ class MaskSpec:
         return self
 
 
-def make_mask(spec: MaskSpec, shape: tuple[int, int],
-              rng: np.random.Generator | None = None) -> np.ndarray:
-    """Binary [C, L] mask; 0 marks a concealed position.
+def make_mask(spec: MaskSpec, shape: tuple[int, int], salt: int,
+              window: int) -> np.ndarray:
+    """Binary [C, L] mask of one window; 0 marks a concealed position.
 
     Random mode conceals positions independently per channel; extended mode
-    conceals one contiguous block shared by every channel.
+    conceals one contiguous block shared by every channel. The generator is
+    seeded with (spec.seed, salt, window), whatever the window's batch.
     """
     spec.validate()
     C, L = shape
     n_masked = int(round(spec.ratio * L))
     if n_masked == 0:
         raise DataError(f"ratio {spec.ratio} conceals no sample of L={L}")
-    rng = rng or np.random.default_rng(spec.seed)
+    rng = np.random.default_rng([spec.seed, salt, window])
     mask = np.ones(shape)
     if spec.mode == "random":
         for c in range(C):

@@ -16,7 +16,8 @@ the pad is cropped again on the way back.
 One inverse step serves two reconstruction modes that differ only in the
 convolution and the kernels: "tied" reuses the forward kernels and is an
 exact algebraic inverse (perfect reconstruction for any kernels); "learned"
-uses independently trained transposed-convolution kernels.
+uses independently trained transposed-convolution kernels. Neither
+subtracts the detail band from the approximation: the forward never adds it.
 """
 from __future__ import annotations
 
@@ -72,17 +73,12 @@ def lift_forward(x: Tensor, level: LiftingLevel):
 
 
 def lift_inverse(approx: Tensor, detail: Tensor, level: LiftingLevel,
-                 padded: bool, mode: str, eq9_literal: bool = False) -> Tensor:
+                 padded: bool, mode: str) -> Tensor:
     """One synthesis step: undo the update step, then the predict step.
 
     "tied" correlates with the forward kernels (``depthwise_conv1d``) and is
     the exact algebraic inverse of lift_forward; "learned" uses the
     independently trained ``*_t`` kernels with ``depthwise_conv_transpose1d``.
-
-    ``eq9_literal`` (learned mode only) additionally subtracts the detail band
-    from the incoming approximation before the inverse update step; off by
-    default because the forward pass never adds it, so the subtraction is not
-    part of a consistent inverse. Kept as an experimentation toggle.
     """
     if mode == "tied":
         conv = T.depthwise_conv1d
@@ -90,8 +86,6 @@ def lift_inverse(approx: Tensor, detail: Tensor, level: LiftingLevel,
     elif mode == "learned":
         conv = T.depthwise_conv_transpose1d
         w_u, b_u, w_p, b_p = level.w_u_t, level.b_u_t, level.w_p_t, level.b_p_t
-        if eq9_literal:
-            approx = T.sub(approx, detail)
     else:
         raise T.TensorError(f"unknown inverse mode {mode!r}")
     even = T.sub(approx, T.tanh(conv(detail, w_u, b_u)))
@@ -133,9 +127,9 @@ def analyze(x: Tensor, levels: list[LiftingLevel]):
 
 
 def synthesize(approx: Tensor, details: list[Tensor], pad_flags: list[bool],
-               levels: list[LiftingLevel], mode: str = "learned",
-               eq9_literal: bool = False) -> Tensor:
-    """Invert the cascade of analyze from the deepest level outward.
+               levels: list[LiftingLevel], mode: str) -> Tensor:
+    """Invert the cascade of analyze from the deepest level outward with the
+    inverse ``mode`` ("tied" or "learned", see lift_inverse).
 
     The approximation may be a prediction replacing the analysis output; the
     detail bands are reused unchanged.
@@ -145,5 +139,5 @@ def synthesize(approx: Tensor, details: list[Tensor], pad_flags: list[bool],
     cur = approx
     for level, detail, padded in zip(reversed(levels), reversed(details),
                                      reversed(pad_flags)):
-        cur = lift_inverse(cur, detail, level, padded, mode, eq9_literal)
+        cur = lift_inverse(cur, detail, level, padded, mode)
     return cur

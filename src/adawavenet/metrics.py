@@ -37,6 +37,6 @@ def score(batches):
     return mse, mae
 
 
-def metrics(pred: np.ndarray, target: np.ndarray, mask: np.ndarray | None = None):
-    """`score` of one batch."""
-    return score([(pred, target, mask)])
+def metrics(pred: np.ndarray, target: np.ndarray):
+    """`score` of one unmasked batch."""
+    return score([(pred, target, None)])

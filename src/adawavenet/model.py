@@ -11,7 +11,7 @@ import numpy as np
 
 from . import tensor as T
 from .attention import AttentionHead
-from .config import ModelConfig, from_text, to_text
+from .config import ModelConfig, build, read_items, to_text
 from .data import DataError
 from .decompose import decompose
 from .grouped import GroupedLinear
@@ -90,8 +90,7 @@ class AdaWaveNet:
         parts = decompose(x, cfg.ma_window)
         approx, details, pad_flags = analyze(parts.seasonal, self.levels)
         seasonal_hat = synthesize(self.head.project_approximation(approx), details,
-                                  pad_flags, self.levels, mode=cfg.inverse_mode,
-                                  eq9_literal=cfg.eq9_literal)
+                                  pad_flags, self.levels, cfg.inverse_mode)
         trend_hat = self.trend_head.project_trend(parts.trend)
         out = T.add(seasonal_hat, trend_hat)
         if self.revin is not None:
@@ -146,8 +145,10 @@ class _Reader:
 
 def load_checkpoint(path: str):
     """Returns (config, arrays); raises DataError for an unreadable or
-    malformed file: wrong magic or version, a cut-off field, bad text, or
-    trailing bytes."""
+    malformed file: wrong magic or version, a cut-off field, bad text, an
+    unknown key, or trailing bytes. Headers written while ModelConfig had
+    eq9_literal carry ``eq9_literal=False``, which is dropped; at any other
+    value it is an unknown key."""
     try:
         with open(path, "rb") as fh:
             r = _Reader(fh.read(), path)
@@ -160,7 +161,9 @@ def load_checkpoint(path: str):
         raise DataError(f"{path}: unsupported checkpoint version {version}")
     text = r.take(r.u32())
     try:
-        config = from_text(ModelConfig, text.decode("utf-8"))
+        items = [item for item in read_items(text.decode("utf-8"))
+                 if item[1:] != ("eq9_literal", "False")]
+        config = build((ModelConfig,), items)[0]
     except ValueError as exc:       # bad UTF-8, unknown key, bad value
         raise DataError(f"{path}: bad checkpoint config: {exc}") from exc
     arrays = {}
@@ -180,12 +183,11 @@ def load_checkpoint(path: str):
     return config, arrays
 
 
-def model_state(model: AdaWaveNet, norm_mean=None, norm_std=None) -> dict[str, np.ndarray]:
+def model_state(model: AdaWaveNet, norm_mean, norm_std) -> dict[str, np.ndarray]:
     arrays = {name: p.data for name, p in model.parameters().items()}
     arrays["clustering.assignments"] = model.trend_head.assignments.astype(float)
-    if norm_mean is not None:
-        arrays["norm.mean"] = np.asarray(norm_mean, dtype=float)
-        arrays["norm.std"] = np.asarray(norm_std, dtype=float)
+    arrays["norm.mean"] = np.asarray(norm_mean, dtype=float)
+    arrays["norm.std"] = np.asarray(norm_std, dtype=float)
     return arrays
 
 

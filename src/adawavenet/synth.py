@@ -6,10 +6,11 @@ Three families on t ∈ [0, 1]:
     traffic     sin(2π·24 t) + 0.5 sin(4π·24 t) + sin(2π·7 t) + 0.5 t + ε(t)
     electricity 5 sin(2π t) + 2 sin(4π t) + 3 sin(2π·365 t) + 2 t + ε(t)
 
-ε is Gaussian noise. A variance shift multiplies the noise amplitude by
-(1 + shift) from the onset index on; a step change adds a constant from the
-onset on. Both apply to the test portion only when the onset is set to the
-train/test boundary.
+f1 is set per signal; f2, α, t0 and β are the constants F2, ALPHA, T0 and
+BETA. ε is Gaussian noise of standard deviation NOISE_STD. A variance shift
+multiplies the noise amplitude by (1 + shift) from the onset index on; a step
+change adds a constant from the onset on. Both apply to the test portion only
+when the onset is set to the train/test boundary.
 """
 from __future__ import annotations
 
@@ -18,6 +19,9 @@ from dataclasses import dataclass
 import numpy as np
 
 FAMILIES = ("simple", "traffic", "electricity")
+# the fixed terms of the simple family and every family's noise level
+F2, ALPHA, T0, BETA = 50.0, 50.0, 0.5, 1.0
+NOISE_STD = 0.1
 DEFAULT_N_POINTS = 1024
 DEFAULT_TRAIN_POINTS = 512
 
@@ -30,11 +34,6 @@ class SynthError(ValueError):
 class SynthSpec:
     family: str = "simple"
     f1: float = 5.0
-    f2: float = 50.0
-    alpha: float = 50.0
-    t0: float = 0.5
-    beta: float = 1.0
-    noise_std: float = 0.1
     variance_shift: float = 0.0   # 0, 1 or 2
     step_change: float = 0.0      # -0.5, 0 or +0.5
     shift_onset: int = DEFAULT_TRAIN_POINTS
@@ -53,8 +52,8 @@ class SynthSpec:
 def _clean(spec: SynthSpec, t: np.ndarray) -> np.ndarray:
     if spec.family == "simple":
         return (np.sin(2 * np.pi * spec.f1 * t)
-                + np.sin(2 * np.pi * spec.f2 * t) * np.exp(-spec.alpha * (t - spec.t0) ** 2)
-                + spec.beta * t)
+                + np.sin(2 * np.pi * F2 * t) * np.exp(-ALPHA * (t - T0) ** 2)
+                + BETA * t)
     if spec.family == "traffic":
         return (np.sin(2 * np.pi * 24 * t) + 0.5 * np.sin(4 * np.pi * 24 * t)
                 + np.sin(2 * np.pi * 7 * t) + 0.5 * t)
@@ -66,7 +65,7 @@ def generate(spec: SynthSpec) -> np.ndarray:
     """Noisy signal with optional variance shift / step change, shape [1, n]."""
     signal = denoised_target(spec)[0]
     rng = np.random.default_rng(spec.seed)
-    eps = rng.normal(0.0, spec.noise_std, spec.n_points)
+    eps = rng.normal(0.0, NOISE_STD, spec.n_points)
     onset = spec.shift_onset
     if spec.variance_shift:
         eps[onset:] *= 1.0 + spec.variance_shift

@@ -431,24 +431,20 @@ def _depthwise(x, kernels, bias, transpose, name):
     banded = math.prod(x.shape[:-2]) * K >= x.shape[-1]
     product = _band_product if banded else _window_product
     out = product(x.data, kernels.data, transpose)
-    if bias is not None:
-        out += bias.data[:, None]
+    out += bias.data[:, None]
 
     def backward(g):
         u, v = (g, x.data) if transpose else (x.data, g)
-        grads = [product(g, kernels.data, not transpose) if x.requires_grad else None,
-                 _kernel_grad(u, v, K)]
-        if bias is not None:
-            grads.append(g.sum(axis=tuple(range(g.ndim - 2)) + (g.ndim - 1,)))
-        return tuple(grads)
+        return (product(g, kernels.data, not transpose) if x.requires_grad else None,
+                _kernel_grad(u, v, K),
+                g.sum(axis=tuple(range(g.ndim - 2)) + (g.ndim - 1,)))
 
-    parents = (x, kernels) if bias is None else (x, kernels, bias)
-    return _make(out, parents, backward)
+    return _make(out, (x, kernels, bias), backward)
 
 
-def depthwise_conv1d(x, kernels, bias=None):
-    """Per-channel cross-correlation: x[..., C, L], kernels[C, K] ->
-    [..., C, L].
+def depthwise_conv1d(x, kernels, bias):
+    """Per-channel cross-correlation plus a per-channel bias: x[..., C, L],
+    kernels[C, K], bias[C] -> [..., C, L].
 
     Even K is allowed; the zero padding is then asymmetric ((K-1)//2 left,
     K//2 right), which keeps the map linear and exactly invertible inside the
@@ -457,7 +453,7 @@ def depthwise_conv1d(x, kernels, bias=None):
     return _depthwise(x, kernels, bias, False, "depthwise_conv1d")
 
 
-def depthwise_conv_transpose1d(x, kernels, bias=None):
+def depthwise_conv_transpose1d(x, kernels, bias):
     """Adjoint of depthwise_conv1d under the same padding convention: the
     correlation with the kernel reversed and the pads swapped."""
     return _depthwise(x, kernels, bias, True, "depthwise_conv_transpose1d")

@@ -93,10 +93,8 @@ def _prepare_batch(task, xs, ys, idx, mask_spec, sr_ratio, mask_salt):
     if task == "forecast":
         return x, y, None
     if task == "impute":
-        masks = np.stack([
-            make_mask(mask_spec, x.shape[1:],
-                      rng=np.random.default_rng([mask_spec.seed, mask_salt, int(i)]))
-            for i in idx])
+        masks = np.stack([make_mask(mask_spec, x.shape[1:], mask_salt, int(i))
+                          for i in idx])
         return x * masks, y, 1.0 - masks
     if task == "superres":
         return zoh_upsample(downsample(x, sr_ratio), sr_ratio), y, None
@@ -121,12 +119,13 @@ def score_split(model: AdaWaveNet, dataset: Dataset, split: str, task: str,
 
 
 def evaluate(model: AdaWaveNet, dataset: Dataset, split: str,
-             mask_spec: MaskSpec | None = None):
-    """Mean squared error (masked for imputation) over a split."""
+             mask_spec: MaskSpec | None):
+    """(MSE, MAE) of the model on the task it was configured for, over a
+    split, under `no_grad`; mask_spec is used only by imputation."""
     cfg = model.config
     with T.no_grad():
         return score_split(model, dataset, split, cfg.task, mask_spec,
-                           cfg.sr_ratio)[0]
+                           cfg.sr_ratio)
 
 
 def train(model: AdaWaveNet, dataset: Dataset, train_cfg: TrainConfig,
@@ -156,7 +155,7 @@ def train(model: AdaWaveNet, dataset: Dataset, train_cfg: TrainConfig,
             lambda idx: _prepare_batch(cfg.task, xs, ys, idx, mask_spec,
                                        cfg.sr_ratio, mask_salt=epoch + 1))
         try:
-            val_loss = evaluate(model, dataset, "val", mask_spec=mask_spec)
+            val_loss = evaluate(model, dataset, "val", mask_spec)[0]
         except NumericalError:
             raise NumericalError(_nan_diagnostic(
                 params, "validation loss is non-finite")) from None

@@ -183,12 +183,12 @@ def test_criterion_4_masking_exactness():
     ok = True
     details = []
     for ratio in (0.125, 0.25, 0.375, 0.5):
-        rand = make_mask(MaskSpec("random", ratio, seed=7), (5, L))
+        rand = make_mask(MaskSpec("random", ratio, seed=7), (5, L), 0, 0)
         realized = (rand == 0).sum(axis=1) / L
         if not np.all(realized == ratio):
             ok = False
             details.append(f"random {ratio}: {realized}")
-        ext = make_mask(MaskSpec("extended", ratio, seed=7), (5, L))
+        ext = make_mask(MaskSpec("extended", ratio, seed=7), (5, L), 0, 0)
         zeros = np.where(ext[0] == 0)[0]
         contiguous = np.array_equal(zeros, np.arange(zeros[0], zeros[-1] + 1))
         identical = np.all(ext == ext[0])

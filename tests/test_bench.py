@@ -22,7 +22,7 @@ from adawavenet.data import (DataError, MaskSpec, build_dataset, downsample,
 from adawavenet.metrics import metrics, score
 from adawavenet.model import AdaWaveNet, zoh_upsample
 from adawavenet.tensor import NumericalError, Tensor
-from adawavenet.train import _prepare_batch, build_model, evaluate
+from adawavenet.train import _prepare_batch, build_model, evaluate, score_split
 
 from conftest import write_ett_csv
 
@@ -47,13 +47,13 @@ class TestMetrics:
         pred = np.array([1.0, 10.0, 3.0])
         tgt = np.array([0.0, 0.0, 0.0])
         mask = np.array([1.0, 0.0, 1.0])
-        mse, mae = metrics(pred, tgt, mask)
+        mse, mae = score([(pred, tgt, mask)])
         assert mse == approx((1 + 9) / 2)
         assert mae == approx((1 + 3) / 2)
 
     def test_empty_mask_rejected(self):
         with pytest.raises(ValueError):
-            metrics(np.ones(3), np.ones(3), np.zeros(3))
+            score([(np.ones(3), np.ones(3), np.zeros(3))])
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError):
@@ -82,8 +82,8 @@ class TestMetrics:
         if masked:
             batches[1][2][...] = 0.0
         preds, tgts, masks = zip(*batches)
-        whole = metrics(np.concatenate(preds), np.concatenate(tgts),
-                        np.concatenate(masks) if masked else None)
+        whole = score([(np.concatenate(preds), np.concatenate(tgts),
+                        np.concatenate(masks) if masked else None)])
         np.testing.assert_allclose(score(batches), whole, rtol=1e-12, atol=0.0)
         with pytest.raises(ValueError, match="empty mask"):
             score([batches[0][:2] + (np.zeros(shapes[0]),)])
@@ -95,7 +95,7 @@ class TestMetrics:
         """1e200 squares to inf; an inf error under a 0 mask gives NaN."""
         mask = None if mask is None else np.array(mask)
         with pytest.raises(NumericalError, match="non-finite error"):
-            metrics(np.array(pred), np.zeros(2), mask)
+            score([(np.array(pred), np.zeros(2), mask)])
 
 
 class TestBaselines:
@@ -308,7 +308,7 @@ class TestReportAndManifest:
     def test_cell_scores_without_a_graph(self, monkeypatch):
         """Training forwards record a graph and the scoring forwards none; the
         metrics equal those of scoring the trained model with the graph."""
-        forward, evaluate_task = AdaWaveNet.forward, B.evaluate_task
+        forward, evaluate = AdaWaveNet.forward, B.evaluate
         forwards, scored = [], []
 
         def spy_forward(self, x):
@@ -316,12 +316,12 @@ class TestReportAndManifest:
             forwards.append((bool(scored), out._backward is None))
             return out
 
-        def spy_evaluate(model, dataset, mask_spec=None):
-            scored.append((model, dataset, mask_spec))
-            return evaluate_task(model, dataset, mask_spec)
+        def spy_evaluate(*args):
+            scored.append(args)
+            return evaluate(*args)
 
         monkeypatch.setattr(AdaWaveNet, "forward", spy_forward)
-        monkeypatch.setattr(B, "evaluate_task", spy_evaluate)
+        monkeypatch.setattr(B, "evaluate", spy_evaluate)
         result = run_cell({"dataset": "synth:simple", "task": "impute",
                            "max_epochs": 1, "levels": 2, "kernel_size": 3,
                            "input_len": 48, "pred_len": 48}, seed=3)
@@ -329,7 +329,10 @@ class TestReportAndManifest:
         scoring = [free for in_scoring, free in forwards if in_scoring]
         assert not all(training) and scoring and all(scoring)
         forwards.clear()
-        assert (result.mse, result.mae) == evaluate_task(*scored[0])
+        model, dataset, split, mask_spec = scored[0]
+        assert split == "test"
+        assert (result.mse, result.mae) == score_split(
+            model, dataset, split, "impute", mask_spec, model.config.sr_ratio)
         assert not any(free for _, free in forwards)
 
     def test_unknown_cell_key_rejected(self):
@@ -358,12 +361,13 @@ class TestReportAndManifest:
 
     def test_shipped_manifest_config_hashes_are_pinned(self):
         """Hashes of each cell of scripts/manifest.json with its first seed,
-        as the manifest's settings gave them before cells were typed."""
+        as the manifest's settings gave them before cells were typed, with
+        the ``eq9_literal=False`` line since dropped from the hashed text."""
         path = Path(__file__).parents[1] / "scripts" / "manifest.json"
         cells = load_manifest(str(path))["cells"]
         assert [config_hash(*cell_configs(c, c["seeds"][0])) for c in cells] == [
-            "7e35dc505c05", "7e35dc505c05", "15953ccf905b", "f306e85b60ef",
-            "29d51382b710"]
+            "b68642473f16", "b68642473f16", "db39cefd6646", "c1fd1a314b92",
+            "b9c129b7b70a"]
 
     @pytest.mark.parametrize("text", [
         '{"cells": [', "[]", '{"cells": {}}', '{"cells": [{"seeds": [0]}]}',
@@ -448,14 +452,13 @@ def _reference_evaluate_impute(model, dataset, mask_spec, split="test", batch_si
     for start in range(0, len(pairs), batch_size):
         chunk = pairs[start:start + batch_size]
         x = np.stack([p[0] for p in chunk])
-        m = np.stack([make_mask(mask_spec, x.shape[1:],
-                                rng=np.random.default_rng([mask_spec.seed, 0, start + i]))
+        m = np.stack([make_mask(mask_spec, x.shape[1:], 0, start + i)
                       for i in range(len(chunk))])
         preds.append(model.forward(Tensor(x * m)).data)
         tgts.append(x)
         masks.append(1.0 - m)
-    return metrics(np.concatenate(preds), np.concatenate(tgts),
-                   mask=np.concatenate(masks))
+    return score([(np.concatenate(preds), np.concatenate(tgts),
+                   np.concatenate(masks))])
 
 
 def _reference_evaluate_superres(model, dataset, ratio, split="test", batch_size=64):
@@ -557,7 +560,7 @@ class TestEvaluatorsMatchReference:
         assert_close(evaluate_forecast(model, dataset),
                      _reference_evaluate_forecast(model, dataset))
         for split in ("val", "test"):
-            assert_close(evaluate(model, dataset, split),
+            assert_close(evaluate(model, dataset, split, None)[0],
                          _reference_train_evaluate(model, dataset, split))
 
     def test_impute(self, dataset):
@@ -565,12 +568,12 @@ class TestEvaluatorsMatchReference:
         spec = MaskSpec("random", 0.25, seed=5)
         assert_close(evaluate_impute(model, dataset, spec),
                      _reference_evaluate_impute(model, dataset, spec))
-        assert_close(evaluate(model, dataset, "test", mask_spec=spec),
+        assert_close(evaluate(model, dataset, "test", spec)[0],
                      _reference_train_evaluate(model, dataset, "test", mask_spec=spec))
 
     def test_superres(self, dataset):
         model = self.model(dataset, "superres", sr_ratio=4)
         assert_close(evaluate_superres(model, dataset, 4),
                      _reference_evaluate_superres(model, dataset, 4))
-        assert_close(evaluate(model, dataset, "test"),
+        assert_close(evaluate(model, dataset, "test", None)[0],
                      _reference_train_evaluate(model, dataset, "test"))

@@ -21,7 +21,7 @@ from adawavenet.config import ModelConfig
 from adawavenet.model import (AdaWaveNet, load_checkpoint, model_state,
                               restore_model, save_checkpoint)
 from adawavenet.tensor import Tensor
-from adawavenet.train import _prepare_batch
+from adawavenet.train import _prepare_batch, score_split
 
 from conftest import write_ett_csv
 
@@ -107,6 +107,33 @@ class TestTrain:
         cfg.write_text("bogus=1\n")
         assert main(["train", "--data", "synth:simple", "--config", str(cfg),
                      "--out", str(tmp_path / "o"), "--quiet"]) == EXIT_USAGE
+
+    def test_removed_eq9_literal_key_is_usage_error(self, tmp_path, capsys):
+        cfg = tmp_path / "old.txt"
+        cfg.write_text(SMALL + "eq9_literal=false\n")
+        assert main(["train", "--data", "synth:simple", "--config", str(cfg),
+                     "--out", str(tmp_path / "o"), "--quiet"]) == EXIT_USAGE
+        assert one_line_error(capsys, "usage error: line 11: unknown key 'eq9_literal'")
+
+    @pytest.mark.parametrize("checkpoint", ["missing/m.awn", "folder"])
+    def test_unwritable_checkpoint_is_usage_error_before_any_data_is_read(
+            self, tmp_path, small_config, checkpoint, capsys):
+        """Checked before the data: a missing data file would be exit 2."""
+        (tmp_path / "folder").mkdir()
+        out = tmp_path / "o"
+        code = main(["train", "--data", "/nonexistent/x.csv", "--config",
+                     small_config, "--out", str(out), "--quiet",
+                     "--checkpoint", str(tmp_path / checkpoint)])
+        assert code == EXIT_USAGE
+        assert one_line_error(capsys, "usage error: --checkpoint")
+        assert not out.exists()
+
+    def test_checkpoint_in_the_out_folder_it_creates(self, tmp_path, small_config):
+        out = tmp_path / "o"
+        assert main(["train", "--data", "synth:simple", "--config", small_config,
+                     "--out", str(out), "--quiet",
+                     "--checkpoint", str(out / "m.awn")]) == EXIT_OK
+        assert (out / "m.awn").exists() and (out / "training_log.csv").exists()
 
     def test_missing_data_file_is_data_error(self, tmp_path, small_config):
         assert main(["train", "--data", "/nonexistent/x.csv", "--config",
@@ -313,7 +340,7 @@ class TestEvalAndShowcase:
         """Every forward of `eval` records no graph, and its metrics are
         bitwise those of scoring the checkpoint with the graph."""
         ckpt = os.path.join(trained, "model.awn")
-        forward, evaluate_task = AdaWaveNet.forward, cli.B.evaluate_task
+        forward, evaluate = AdaWaveNet.forward, cli.evaluate
         outputs, scored = [], []
 
         def spy_forward(self, x):
@@ -321,18 +348,19 @@ class TestEvalAndShowcase:
             return outputs[-1]
 
         def spy_evaluate(*args):
-            scored.append(evaluate_task(*args))
+            scored.append(evaluate(*args))
             return scored[-1]
 
         monkeypatch.setattr(AdaWaveNet, "forward", spy_forward)
-        monkeypatch.setattr(cli.B, "evaluate_task", spy_evaluate)
+        monkeypatch.setattr(cli, "evaluate", spy_evaluate)
         assert main(["eval", "--data", "synth:simple", "--checkpoint", ckpt]) == EXIT_OK
         assert outputs and all(out._backward is None for out in outputs)
         printed = capsys.readouterr().out
         model, dataset = cli._load_model(argparse.Namespace(
             checkpoint=ckpt, data="synth:simple"))
         outputs.clear()
-        mse, mae = evaluate_task(model, dataset, MaskSpec(seed=model.config.seed))
+        mse, mae = score_split(model, dataset, "test", "forecast",
+                               MaskSpec(seed=model.config.seed), 1)
         assert all(out._backward is not None for out in outputs)
         assert scored == [(mse, mae)]
         assert printed == f"task=forecast test MSE={mse:.6f} MAE={mae:.6f}\n"
@@ -386,7 +414,7 @@ class TestEvalAndShowcase:
         is written; the whole window (r=96) is a valid ratio."""
         cfg = ModelConfig(levels=2, d_model=16, heads=4)
         path = str(tmp_path / "m.awn")
-        save_checkpoint(path, cfg, model_state(AdaWaveNet(cfg, channels=1)))
+        save_checkpoint(path, cfg, model_state(AdaWaveNet(cfg, channels=1), [0.0], [1.0]))
         out = tmp_path / "o"
         argv = ["superres", "--data", "synth:simple", "--checkpoint", path,
                 "--out", str(out), "--ratio"]
@@ -401,9 +429,24 @@ class TestEvalAndShowcase:
         cfg = ModelConfig(levels=2, d_model=16, heads=4)
         path = str(tmp_path / "m.awn")
         save_checkpoint(path, dataclasses.replace(cfg, sr_ratio=0),
-                        model_state(AdaWaveNet(cfg, channels=1)))
+                        model_state(AdaWaveNet(cfg, channels=1), [0.0], [1.0]))
         assert main(["eval", "--data", "synth:simple", "--checkpoint", path]) == EXIT_DATA
         assert one_line_error(capsys, "data error:")
+
+    def test_removed_eq9_literal_true_checkpoint_is_data_error(self, tmp_path,
+                                                              capsys):
+        """A header that turns the removed subtraction on names a model this
+        code cannot run; ``eq9_literal=False`` loads (test_model.py)."""
+        fixture = Path(__file__).parent / "data" / "checkpoint_eq9_literal_false.awn"
+        path = tmp_path / "m.awn"
+        # same length, so every length prefix stays valid
+        path.write_bytes(fixture.read_bytes().replace(b"eq9_literal=False",
+                                                      b"eq9_literal=True "))
+        code = main(["eval", "--data", "synth:simple", "--checkpoint", str(path)])
+        assert code == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.startswith("data error:") and err.count("\n") == 1
+        assert "unknown key 'eq9_literal'" in err
 
     @pytest.mark.parametrize("command", ["eval", "impute"])
     def test_negative_seed_is_usage_error(self, trained, tmp_path, command,
@@ -642,6 +685,19 @@ class TestBench:
         assert os.path.exists(os.path.join(out, "results.csv"))
         with open(os.path.join(out, "report.md")) as fh:
             assert capsys.readouterr().out == fh.read()
+
+    def test_unknown_synth_family_stops_before_any_run(self, tmp_path, capsys):
+        """A bad family in the last cell is found before the first cell runs."""
+        manifest = tmp_path / "m.json"
+        manifest.write_text(json.dumps({"cells": [
+            {"dataset": "synth:simple", "seeds": [0], "max_epochs": 1},
+            {"dataset": "synth:nope", "seeds": [0]}]}))
+        out = tmp_path / "out"
+        code = main(["bench", "--manifest", str(manifest), "--out", str(out),
+                     "--quiet"])
+        assert code == EXIT_USAGE
+        assert one_line_error(capsys, "usage error: cell synth:nope: unknown family 'nope'")
+        assert not out.exists()
 
     def test_numerical_failure_keeps_scored_cells(self, tmp_path, capsys):
         """A cell whose one Adam step of 1e300 overflows fails alone: the

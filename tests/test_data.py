@@ -180,50 +180,51 @@ class TestWindows:
 class TestMasks:
     @pytest.mark.parametrize("ratio", [0.125, 0.25, 0.375, 0.5])
     def test_random_mask_exact_count_per_channel(self, ratio):
-        mask = make_mask(MaskSpec("random", ratio, seed=3), (4, 96))
+        mask = make_mask(MaskSpec("random", ratio, seed=3), (4, 96), 0, 0)
         assert np.all((mask == 0) | (mask == 1))
         expected = int(round(ratio * 96))
         assert np.all((mask == 0).sum(axis=1) == expected)
 
     @pytest.mark.parametrize("ratio", [0.125, 0.25, 0.375, 0.5])
     def test_extended_mask_single_shared_block(self, ratio):
-        mask = make_mask(MaskSpec("extended", ratio, seed=5), (3, 96))
+        mask = make_mask(MaskSpec("extended", ratio, seed=5), (3, 96), 0, 0)
         assert np.all(mask == mask[0])   # channel-identical
         zeros = np.where(mask[0] == 0)[0]
         assert len(zeros) == int(round(ratio * 96))
         assert np.array_equal(zeros, np.arange(zeros[0], zeros[-1] + 1))
 
     def test_random_mask_statistical_uniformity(self):
-        """Over many draws every position should be concealed at close to the
-        nominal rate; a strongly biased generator would fail this."""
+        """Over many windows every position should be concealed at close to
+        the nominal rate; a strongly biased generator would fail this."""
         L, draws, ratio = 96, 10000, 0.25
-        rng = np.random.default_rng(0)
         counts = np.zeros(L)
-        for _ in range(draws):
-            counts += make_mask(MaskSpec("random", ratio), (1, L), rng)[0] == 0
+        for window in range(draws):
+            counts += make_mask(MaskSpec("random", ratio), (1, L), 0, window)[0] == 0
         rate = counts / draws
         # binomial std at p=0.25, n=10000 is ~0.0043; allow 5 sigma
         assert np.abs(rate - ratio).max() < 5 * np.sqrt(ratio * (1 - ratio) / draws)
 
     def test_mask_deterministic_given_seed(self):
-        a = make_mask(MaskSpec("random", 0.25, seed=11), (2, 32))
-        b = make_mask(MaskSpec("random", 0.25, seed=11), (2, 32))
+        a = make_mask(MaskSpec("random", 0.25, seed=11), (2, 32), 3, 5)
+        b = make_mask(MaskSpec("random", 0.25, seed=11), (2, 32), 3, 5)
         assert np.array_equal(a, b)
+        assert not np.array_equal(
+            a, make_mask(MaskSpec("random", 0.25, seed=11), (2, 32), 3, 6))
 
     def test_ratio_concealing_nothing_rejected(self):
         """round(0.01 * 32) = 0 lies within 1/L of the ratio, but conceals
         nothing."""
         for mode in ("random", "extended"):
             with pytest.raises(DataError, match="conceals no sample"):
-                make_mask(MaskSpec(mode, 0.01), (1, 32))
+                make_mask(MaskSpec(mode, 0.01), (1, 32), 0, 0)
 
     def test_bad_spec_rejected(self):
         with pytest.raises(DataError):
-            make_mask(MaskSpec("diagonal", 0.25), (1, 32))
+            make_mask(MaskSpec("diagonal", 0.25), (1, 32), 0, 0)
         with pytest.raises(DataError):
-            make_mask(MaskSpec("random", 0.0), (1, 32))
+            make_mask(MaskSpec("random", 0.0), (1, 32), 0, 0)
         with pytest.raises(DataError):
-            make_mask(MaskSpec("random", 1.0), (1, 32))
+            make_mask(MaskSpec("random", 1.0), (1, 32), 0, 0)
 
     def test_negative_seed_rejected(self):
         with pytest.raises(DataError, match="seed"):
@@ -236,7 +237,7 @@ class TestMasks:
     def test_random_mask_count_property(self, ratio, L, seed):
         if L == 0:
             return
-        mask = make_mask(MaskSpec("random", ratio, seed=seed), (2, L))
+        mask = make_mask(MaskSpec("random", ratio, seed=seed), (2, L), 0, 0)
         assert np.all((mask == 0).sum(axis=1) == int(round(ratio * L)))
 
 

@@ -8,6 +8,11 @@ import. Tests do not count, so a helper that only tests call fails here.
 
 The check goes by name alone: a definition whose name is shared with a used
 definition (a second class's ``parameters`` method, say) is not caught.
+
+A second check requires every library parameter that has a default to be
+passed, by keyword or by position, at some call in those files: a default
+that no program call overrides is a constant. Calls are matched by the
+called name, and ``__init__`` by its class's name.
 """
 import ast
 from pathlib import Path
@@ -84,3 +89,64 @@ def test_library_has_no_assert_statement():
                for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
                if isinstance(node, ast.Assert)]
     assert asserts == []
+
+
+# parameters with a default that no program call passes
+DEFAULT_ALLOWED = {
+    "main.argv",        # None reads sys.argv; the console script passes nothing
+}
+
+
+def call_name(call):
+    func = call.func
+    return func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+
+
+def defaulted_parameters(tree):
+    """(qualified name, call name, positional index or None, parameter name)
+    of every parameter with a default of the module-level functions and of
+    the methods, ``__init__`` included. A method's positions leave out
+    ``self``, and ``__init__`` is called by its class's name."""
+    functions = [(node.name, node, node.name, 0) for node in tree.body
+                 if isinstance(node, FUNCTIONS)]
+    methods = [(f"{node.name}.{item.name}", item,
+                node.name if item.name == "__init__" else item.name, 1)
+               for node in tree.body if isinstance(node, ast.ClassDef)
+               for item in node.body if isinstance(item, FUNCTIONS)]
+    for qualname, node, called_as, skip in functions + methods:
+        positional = node.args.posonlyargs + node.args.args
+        first_default = len(positional) - len(node.args.defaults)
+        for i, arg in enumerate(positional[first_default:], first_default):
+            yield qualname, called_as, i - skip, arg.arg
+        for arg, default in zip(node.args.kwonlyargs, node.args.kw_defaults):
+            if default is not None:
+                yield qualname, called_as, None, arg.arg
+
+
+def passes(call, position, name):
+    """Whether the call passes the parameter at ``position`` (None: keyword
+    only) or named ``name``; a ``*args`` or ``**kwargs`` passes anything."""
+    if any(isinstance(a, ast.Starred) for a in call.args):
+        return True
+    if any(k.arg is None or k.arg == name for k in call.keywords):
+        return True
+    return position is not None and len(call.args) > position
+
+
+def unpassed_defaults():
+    trees = {path: ast.parse(path.read_text(encoding="utf-8"), str(path))
+             for path in PROGRAM}
+    calls = {}
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                calls.setdefault(call_name(node), []).append(node)
+    return [f"{qualname}.{name}" for path in LIBRARY
+            for qualname, called_as, position, name in defaulted_parameters(trees[path])
+            if not any(passes(c, position, name) for c in calls.get(called_as, []))]
+
+
+def test_every_parameter_with_a_default_is_passed_by_the_program():
+    """A default that no program call overrides is a constant: exactly the
+    DEFAULT_ALLOWED parameters are never passed, so a stale entry fails too."""
+    assert sorted(unpassed_defaults()) == sorted(DEFAULT_ALLOWED)

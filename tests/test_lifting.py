@@ -210,20 +210,13 @@ class TestCascade:
         levels = [randomize(LiftingLevel(1, 3), rng) for _ in range(2)]
         approx_, details, pad_flags = analyze(Tensor(rng.normal(size=(1, 32))), levels)
         with pytest.raises(TensorError):
-            synthesize(approx_, details[:1], pad_flags[:1], levels)
+            synthesize(approx_, details[:1], pad_flags[:1], levels, "tied")
 
     def test_unknown_inverse_mode_rejected(self, rng):
         levels = [LiftingLevel(1, 3)]
         pyramid = analyze(Tensor(rng.normal(size=(1, 16))), levels)
         with pytest.raises(TensorError, match="inverse mode"):
             synthesize(*pyramid, levels, mode="bogus")
-
-    def test_eq9_literal_ignored_in_tied_mode(self, rng):
-        level = randomize(LiftingLevel(1, 3), rng)
-        a, d, padded = lift_forward(Tensor(rng.normal(size=(1, 9))), level)
-        plain = lift_inverse(a, d, level, padded, "tied")
-        literal = lift_inverse(a, d, level, padded, "tied", eq9_literal=True)
-        assert np.array_equal(plain.data, literal.data)
 
     def test_gradients_reach_every_kernel(self, rng):
         levels = [LiftingLevel(2, 5) for _ in range(2)]
@@ -234,12 +227,3 @@ class TestCascade:
         for level in levels:
             assert level.w_p.grad is not None and np.any(level.w_p.grad != 0)
             assert level.w_u.grad is not None and np.any(level.w_u.grad != 0)
-
-    def test_eq9_literal_variant_shifts_output_by_details(self, rng):
-        level = LiftingLevel(1, 3)
-        a = rng.normal(size=(1, 4))
-        d = rng.normal(size=(1, 4))
-        plain = lift_inverse(Tensor(a), Tensor(d), level, False, "learned")
-        literal = lift_inverse(Tensor(a), Tensor(d), level, False, "learned",
-                               eq9_literal=True)
-        assert literal.data[:, 0::2] == approx(plain.data[:, 0::2] - d)

@@ -1,4 +1,5 @@
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,15 +9,24 @@ from pytest import approx
 
 import adawavenet.tensor as T
 from adawavenet.config import (INVERSE_MODES, TASKS, ConfigError, ModelConfig,
-                               TrainConfig, build, from_text, read_items,
-                               to_text)
+                               TrainConfig, build, read_items, to_text)
+from adawavenet.bench import resolve_dataset
 from adawavenet.data import DataError, MaskSpec
 from adawavenet.model import (AdaWaveNet, RevIN, load_checkpoint, model_state,
                               restore_model, save_checkpoint, zoh_upsample)
 from adawavenet.tensor import Tensor, TensorError
-from adawavenet.train import _prepare_batch
+from adawavenet.train import _prepare_batch, evaluate
 
 from conftest import passthrough_attention
+
+
+def from_text(cls, text):
+    return build((cls,), read_items(text))[0]
+
+
+def state(model):
+    """The model's checkpoint arrays with unit normalization statistics."""
+    return model_state(model, np.zeros(model.channels), np.ones(model.channels))
 
 
 def small_config(**kw):
@@ -305,7 +315,7 @@ class TestCheckpoint:
     def test_restored_model_same_outputs(self, tmp_path, rng):
         model = AdaWaveNet(small_config(seed=5), channels=2)
         path = str(tmp_path / "model.awn")
-        save_checkpoint(path, model.config, model_state(model))
+        save_checkpoint(path, model.config, state(model))
         cfg, arrays = load_checkpoint(path)
         restored = restore_model(cfg, arrays)
         x = rng.normal(size=(2, 2, 32))
@@ -321,7 +331,7 @@ class TestCheckpoint:
     def tiny_checkpoint(self, tmp_path):
         cfg = small_config(input_len=16, pred_len=16, d_model=4, heads=2)
         path = tmp_path / "model.awn"
-        save_checkpoint(str(path), cfg, model_state(AdaWaveNet(cfg, channels=2)))
+        save_checkpoint(str(path), cfg, state(AdaWaveNet(cfg, channels=2)))
         return path, path.read_bytes()
 
     def test_truncated_or_extended_file_is_data_error(self, tmp_path):
@@ -347,14 +357,14 @@ class TestCheckpoint:
 
     def test_shape_mismatch_rejected(self):
         model = AdaWaveNet(small_config(), channels=1)
-        arrays = model_state(model)
+        arrays = state(model)
         arrays["trend.weights"] = arrays["trend.weights"][..., :-1]
         with pytest.raises(DataError):
             restore_model(model.config, arrays)
 
     def test_missing_parameter_rejected(self, tmp_path):
         model = AdaWaveNet(small_config(), channels=1)
-        arrays = model_state(model)
+        arrays = state(model)
         victim = next(n for n in arrays if n.startswith("lifting."))
         del arrays[victim]
         path = str(tmp_path / "model.awn")
@@ -366,7 +376,7 @@ class TestCheckpoint:
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     def test_non_finite_parameter_rejected(self, value):
         model = AdaWaveNet(small_config(), channels=1)
-        arrays = model_state(model)
+        arrays = state(model)
         arrays["attention.w_q"][0, 0] = value
         with pytest.raises(DataError, match="attention.w_q"):
             restore_model(model.config, arrays)
@@ -399,8 +409,29 @@ class TestCheckpoint:
         model = AdaWaveNet(small_config(n_clusters=2), channels=3,
                            assignments=np.array([0, 1, 0]))
         path = str(tmp_path / "model.awn")
-        save_checkpoint(path, model.config, model_state(model))
+        save_checkpoint(path, model.config, state(model))
         cfg, arrays = load_checkpoint(path)
         restored = restore_model(cfg, arrays)
         assert np.array_equal(restored.trend_head.assignments,
                               np.array([0, 1, 0]))
+
+
+# A checkpoint written while ModelConfig still had the eq9_literal field: its
+# header carries ``eq9_literal=False``. Trained one epoch on synth:simple (seed
+# 0) with levels=2, kernel_size=3, input_len=pred_len=16, d_model=4, heads=2,
+# ma_window=5, batch_size=32 and learning_rate=0.01. EQ9_FALSE_SCORE is the
+# (MSE, MAE) on the test split that the code of that time computed for it; the
+# tolerance allows for another BLAS build summing in another order.
+EQ9_FALSE_CHECKPOINT = Path(__file__).parent / "data" / "checkpoint_eq9_literal_false.awn"
+EQ9_FALSE_SCORE = (0.6777933189094478, 0.5697569550367053)
+
+
+def test_removed_eq9_literal_false_header_loads_and_scores_as_before():
+    assert b"\neq9_literal=False\n" in EQ9_FALSE_CHECKPOINT.read_bytes()
+    cfg, arrays = load_checkpoint(str(EQ9_FALSE_CHECKPOINT))
+    assert cfg == ModelConfig(levels=2, kernel_size=3, input_len=16,
+                              pred_len=16, d_model=4, heads=2, ma_window=5)
+    model = restore_model(cfg, arrays)
+    got = evaluate(model, resolve_dataset("synth:simple", seed=cfg.seed),
+                   "test", None)
+    assert got == approx(EQ9_FALSE_SCORE, rel=1e-12)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from pytest import approx
 
+import adawavenet.synth as S
 from adawavenet.synth import (SynthError, SynthSpec, denoised_target, generate)
 
 
@@ -9,8 +10,7 @@ class TestCleanSignal:
     def test_simple_closed_form_at_endpoints(self):
         """At t=0 every sine vanishes and the trend is zero; at t=1 the
         envelope and trend take known closed-form values."""
-        spec = SynthSpec(noise_std=0.0)
-        x = denoised_target(spec)[0]
+        x = denoised_target(SynthSpec())[0]
         assert x[0] == approx(0.0, abs=1e-12)
         t = 1.0
         expected = (np.sin(2 * np.pi * 5 * t)
@@ -20,19 +20,18 @@ class TestCleanSignal:
 
     def test_simple_midpoint_envelope_is_unity(self):
         """At t = t0 = 0.5 the Gaussian envelope equals one exactly."""
-        spec = SynthSpec(n_points=1025, noise_std=0.0)
-        x = denoised_target(spec)[0]
+        x = denoised_target(SynthSpec(n_points=1025))[0]
         t = 0.5
         expected = np.sin(2 * np.pi * 5 * t) + np.sin(2 * np.pi * 50 * t) + 0.5
         assert x[512] == approx(expected, abs=1e-9)
 
     def test_pointwise_formula_oracle(self):
-        spec = SynthSpec(f1=3.0, f2=20.0, alpha=10.0, t0=0.3, beta=2.0)
+        spec = SynthSpec(f1=3.0)
         x = denoised_target(spec)[0]
         t = np.linspace(0, 1, spec.n_points)
         ref = (np.sin(2 * np.pi * 3 * t)
-               + np.sin(2 * np.pi * 20 * t) * np.exp(-10 * (t - 0.3) ** 2)
-               + 2.0 * t)
+               + np.sin(2 * np.pi * 50 * t) * np.exp(-50 * (t - 0.5) ** 2)
+               + 1.0 * t)
         assert x == approx(ref)
 
     def test_other_families_pointwise_formula(self):
@@ -56,8 +55,9 @@ def test_negative_seed_rejected():
 
 
 class TestNoise:
-    def test_noiseless_matches_denoised(self):
-        spec = SynthSpec(noise_std=0.0)
+    def test_noiseless_matches_denoised(self, monkeypatch):
+        monkeypatch.setattr(S, "NOISE_STD", 0.0)
+        spec = SynthSpec()
         assert np.array_equal(generate(spec), denoised_target(spec))
 
     def test_shape_and_determinism(self):
@@ -71,7 +71,7 @@ class TestNoise:
                                   generate(SynthSpec(seed=1)))
 
     def test_noise_statistics(self):
-        spec = SynthSpec(noise_std=0.1, n_points=200000, seed=2)
+        spec = SynthSpec(n_points=200000, seed=2)
         noise = generate(spec) - denoised_target(spec)
         assert noise.mean() == approx(0.0, abs=0.002)
         assert noise.std() == approx(0.1, rel=0.02)
@@ -79,9 +79,9 @@ class TestNoise:
 
 class TestDistributionShifts:
     def test_variance_shift_scales_tail_noise(self):
-        base = SynthSpec(noise_std=0.1, n_points=100000, shift_onset=50000, seed=7)
-        shifted = SynthSpec(noise_std=0.1, n_points=100000, shift_onset=50000,
-                            seed=7, variance_shift=1.0)
+        base = SynthSpec(n_points=100000, shift_onset=50000, seed=7)
+        shifted = SynthSpec(n_points=100000, shift_onset=50000, seed=7,
+                            variance_shift=1.0)
         n0 = (generate(base) - denoised_target(base))[0]
         n1 = (generate(shifted) - denoised_target(shifted))[0]
         # untouched head, doubled amplitude tail

@@ -43,7 +43,7 @@ class TestDepthwiseConv:
     def test_even_kernel_supported(self, rng):
         x = rng.normal(size=(2, 8))
         w = rng.normal(size=(2, 4))
-        out = T.depthwise_conv1d(Tensor(x), Tensor(w)).data
+        out = T.depthwise_conv1d(Tensor(x), Tensor(w), Tensor(np.zeros(2))).data
         assert out.shape == (2, 8)
 
     def test_transpose_is_adjoint(self, rng):
@@ -51,8 +51,9 @@ class TestDepthwiseConv:
             x = rng.normal(size=(2, 20))
             y = rng.normal(size=(2, 20))
             w = rng.normal(size=(2, K))
-            lhs = (T.depthwise_conv1d(Tensor(x), Tensor(w)).data * y).sum()
-            rhs = (x * T.depthwise_conv_transpose1d(Tensor(y), Tensor(w)).data).sum()
+            zero = Tensor(np.zeros(2))     # the map is linear without a bias
+            lhs = (T.depthwise_conv1d(Tensor(x), Tensor(w), zero).data * y).sum()
+            rhs = (x * T.depthwise_conv_transpose1d(Tensor(y), Tensor(w), zero).data).sum()
             assert lhs == approx(rhs, abs=1e-10)
 
 
@@ -123,7 +124,7 @@ class TestBackward:
         tgt = rng.normal(size=(2, 4))
 
         def loss(xt, wt, wlt, blt):
-            h = T.tanh(T.depthwise_conv1d(xt, wt))
+            h = T.tanh(T.depthwise_conv1d(xt, wt, Tensor(np.zeros(2))))
             return T.mse(T.add(T.matmul(h, wlt), blt), Tensor(tgt))
 
         check_grads(loss, [x, w, wl, bl])
@@ -152,7 +153,7 @@ class TestBackward:
         try:
             x = Tensor(rng.normal(size=(2, 8)), requires_grad=True)
             w = Tensor(rng.normal(size=(2, 3)), requires_grad=True)
-            pred = T.tanh(T.depthwise_conv1d(x, w))
+            pred = T.tanh(T.depthwise_conv1d(x, w, Tensor(np.zeros(2))))
             loss = T.mse(pred, Tensor(np.zeros((2, 8))))
             loss.backward()
             inner = pred._parents[0]
@@ -180,8 +181,9 @@ class TestGradChecks:
     def test_depthwise_conv_transpose1d(self, rng, K):
         x = rng.normal(size=(2, 10))
         w = rng.normal(size=(2, K))
+        b = rng.normal(size=2)
         check_grads(lambda *a: T.mse(T.depthwise_conv_transpose1d(*a),
-                                     Tensor(np.zeros((2, 10)))), [x, w])
+                                     Tensor(np.zeros((2, 10)))), [x, w, b])
 
     def test_softmax(self, rng):
         x = rng.normal(size=(3, 5))
@@ -237,7 +239,8 @@ class TestDeterminism:
             rng = np.random.default_rng(7)
             x = Tensor(rng.normal(size=(2, 16)), requires_grad=True)
             w = Tensor(rng.normal(size=(2, 5)), requires_grad=True)
-            loss = T.mse(T.tanh(T.depthwise_conv1d(x, w)), Tensor(np.zeros((2, 16))))
+            loss = T.mse(T.tanh(T.depthwise_conv1d(x, w, Tensor(np.zeros(2)))),
+                         Tensor(np.zeros((2, 16))))
             loss.backward()
             return loss.item(), x.grad.copy(), w.grad.copy()
 
@@ -472,23 +475,21 @@ DEPTHWISE_CASES = [((16, 7, 48), 7), ((1, 7, 48), 7), ((7, 48), 7),
 
 
 class TestDenseKernelsMatchReference:
-    @pytest.mark.parametrize("with_bias", [True, False])
+    @pytest.mark.parametrize("random_bias", [True, False])
     @pytest.mark.parametrize("shape,K", DEPTHWISE_CASES)
-    def test_depthwise_conv1d(self, rng, shape, K, with_bias):
+    def test_depthwise_conv1d(self, rng, shape, K, random_bias):
         C = shape[-2]
-        arrays = [rng.normal(size=shape), rng.normal(size=(C, K))]
-        if with_bias:
-            arrays.append(rng.normal(size=C))
+        arrays = [rng.normal(size=shape), rng.normal(size=(C, K)),
+                  rng.normal(size=C) if random_bias else np.zeros(C)]
         _compare_with_reference(T.depthwise_conv1d, _reference_depthwise_conv1d,
                                 arrays, rng)
 
-    @pytest.mark.parametrize("with_bias", [True, False])
+    @pytest.mark.parametrize("random_bias", [True, False])
     @pytest.mark.parametrize("shape,K", DEPTHWISE_CASES)
-    def test_depthwise_conv_transpose1d(self, rng, shape, K, with_bias):
+    def test_depthwise_conv_transpose1d(self, rng, shape, K, random_bias):
         C = shape[-2]
-        arrays = [rng.normal(size=shape), rng.normal(size=(C, K))]
-        if with_bias:
-            arrays.append(rng.normal(size=C))
+        arrays = [rng.normal(size=shape), rng.normal(size=(C, K)),
+                  rng.normal(size=C) if random_bias else np.zeros(C)]
         _compare_with_reference(T.depthwise_conv_transpose1d,
                                 _reference_depthwise_conv_transpose1d, arrays, rng)
 
@@ -573,19 +574,18 @@ class TestSkippedAdjoints:
         _compare_with_reference(T.softmax, _reference_softmax,
                                 [3.0 * rng.normal(size=shape)], rng, axis)
 
-    @pytest.mark.parametrize("with_bias", [True, False])
+    @pytest.mark.parametrize("random_bias", [True, False])
     @pytest.mark.parametrize("shape,K", DEPTHWISE_CASES)
-    def test_depthwise_conv1d_constant_input(self, rng, shape, K, with_bias):
+    def test_depthwise_conv1d_constant_input(self, rng, shape, K, random_bias):
         """Both depthwise ops with an input that requires no gradient."""
         C = shape[-2]
         for op, reference in ((T.depthwise_conv1d, _reference_depthwise_conv1d),
                               (T.depthwise_conv_transpose1d,
                                _reference_depthwise_conv_transpose1d)):
-            arrays = [rng.normal(size=shape), rng.normal(size=(C, K))]
-            if with_bias:
-                arrays.append(rng.normal(size=C))
+            arrays = [rng.normal(size=shape), rng.normal(size=(C, K)),
+                      rng.normal(size=C) if random_bias else np.zeros(C)]
             _compare_with_reference(op, reference, arrays, rng,
-                                    requires_grad=[False] + [True] * (len(arrays) - 1))
+                                    requires_grad=[False, True, True])
 
 
 def _reference_bands(kernels, L):
@@ -625,7 +625,8 @@ class TestBands:
         for name in ("_band_product", "_window_product"):
             monkeypatch.setattr(T, name, lambda *a, f=getattr(T, name), name=name:
                                 used.append(name) or f(*a))
-        T.depthwise_conv1d(Tensor(rng.normal(size=shape)), Tensor(rng.normal(size=(7, 7))))
+        T.depthwise_conv1d(Tensor(rng.normal(size=shape)), Tensor(rng.normal(size=(7, 7))),
+                           Tensor(np.zeros(7)))
         assert used == ["_band_product" if banded else "_window_product"]
 
     @pytest.mark.parametrize("shape,K", [((16, 7, 48), 7), ((1, 7, 48), 7),
@@ -671,7 +672,7 @@ class TestNoGrad:
         x = Tensor(rng.normal(size=(2, 3, 8)))
         w = Tensor(rng.normal(size=(8, 4)), requires_grad=True)
         k = Tensor(rng.normal(size=(3, 3)), requires_grad=True)
-        h = T.tanh(T.depthwise_conv1d(x, k))
+        h = T.tanh(T.depthwise_conv1d(x, k, Tensor(np.zeros(3))))
         return T.softmax(T.mul(T.matmul(h, w), Tensor(0.5)), axis=-1)
 
     def test_records_nothing_and_computes_the_same(self, rng):

@@ -142,11 +142,11 @@ class TestEvaluate:
             return out
 
         monkeypatch.setattr(AdaWaveNet, "forward", spy)
-        got = evaluate(model, ds, "val", mask_spec=spec)
+        got = evaluate(model, ds, "val", spec)
         assert graph_free and all(graph_free)
         graph_free.clear()
         monkeypatch.setattr(T, "no_grad", contextlib.nullcontext)
-        want = evaluate(model, ds, "val", mask_spec=spec)
+        want = evaluate(model, ds, "val", spec)
         assert graph_free and not any(graph_free)
         assert got == want
 
@@ -164,7 +164,7 @@ class TestTrainLoop:
     def test_loss_decreases_on_learnable_signal(self, rng):
         ds = tiny_dataset(rng)
         model = build_model(ds, tiny_config())
-        first = evaluate(model, ds, "val")
+        first = evaluate(model, ds, "val", None)[0]
         cfg = TrainConfig(learning_rate=2e-3, max_epochs=4, batch_size=16, seed=0)
         history, best_val = train(model, ds, cfg)
         assert best_val < first
@@ -175,7 +175,7 @@ class TestTrainLoop:
         model = build_model(ds, tiny_config())
         cfg = TrainConfig(learning_rate=2e-3, max_epochs=10, patience=2, seed=0)
         history, best_val = train(model, ds, cfg)
-        assert evaluate(model, ds, "val") == approx(best_val, rel=1e-9)
+        assert evaluate(model, ds, "val", None)[0] == approx(best_val, rel=1e-9)
         assert min(h[2] for h in history) == approx(best_val)
 
     def test_log_csv_schema(self, rng, tmp_path):
@@ -214,7 +214,7 @@ class TestTrainLoop:
         model = build_model(ds, tiny_config(task="impute"))
         passthrough_attention(model.head)
         spec = MaskSpec("random", 0.25, seed=0)
-        loss = evaluate(model, ds, "val", mask_spec=spec)
+        loss = evaluate(model, ds, "val", spec)[0]
         assert loss > 1e-4   # masked positions are genuinely wrong at init
 
     def test_superres_training_runs(self, rng):
@@ -260,10 +260,10 @@ class TestTrainLoop:
         data = np.tile(data, (1, 4))   # 384 points
         ds = build_dataset(["a", "b"], data + 0.0, (0.5, 0.25, 0.25))
         model = build_model(ds, tiny_config())
-        start = evaluate(model, ds, "train")
+        start = evaluate(model, ds, "train", None)[0]
         cfg = TrainConfig(learning_rate=5e-3, max_epochs=15, patience=15)
         train(model, ds, cfg)
-        end = evaluate(model, ds, "train")
+        end = evaluate(model, ds, "train", None)[0]
         assert end < start * 0.5
 
 
