@@ -13,12 +13,12 @@ import os
 import numpy as np
 
 from adawavenet.bench import case_study, showcase_plot
+from adawavenet.synth import FAMILIES
 
 
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--family", default="simple",
-                        choices=["simple", "traffic", "electricity"])
+    parser.add_argument("--family", default="simple", choices=FAMILIES)
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--variance-shift", type=float, default=0.0)
     parser.add_argument("--step-change", type=float, default=0.0)

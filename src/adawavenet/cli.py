@@ -20,7 +20,7 @@ from .data import DataError, MaskSpec, load_csv, windows
 from .decompose import decompose
 from .lifting import LiftingLevel, check_depth, lift_forward
 from .model import load_checkpoint, model_state, restore_model, save_checkpoint
-from .synth import SynthError, SynthSpec, denoised_target, generate
+from .synth import FAMILIES, SynthError, SynthSpec, denoised_target, generate
 from .tensor import NumericalError, Tensor, TensorError, no_grad
 from .train import _prepare_batch, build_model, evaluate, train
 
@@ -290,7 +290,7 @@ def build_parser():
     p = command("synth", cmd_synth, "generate a synthetic signal", "--out")
     p.add_argument("--seed", type=int, default=signal.seed)
     p.add_argument("--family", default=signal.family,
-                   choices=["simple", "traffic", "electricity"])
+                   choices=FAMILIES)
     p.add_argument("--variance-shift", type=float, default=signal.variance_shift)
     p.add_argument("--step-change", type=float, default=signal.step_change)
     p.add_argument("--n-points", type=int, default=signal.n_points)

@@ -1,8 +1,9 @@
 """Trend head: k-means channel clustering plus one linear map per cluster.
 
-The clustering runs once, before any gradient step, on per-channel trend
-features (z-normalized mean trend window over a sample of training windows)
-and stays frozen afterwards; only the linear heads train.
+The clustering runs once, before any gradient step, on one [C, L] trend
+window: the trend of the mean of the leading training windows, with each
+channel's row z-normalized so channels group by shape rather than scale.
+It stays frozen afterwards; only the linear heads train.
 """
 from __future__ import annotations
 
@@ -18,19 +19,6 @@ class ClusteringError(ValueError):
     pass
 
 
-def channel_features(trend_samples: np.ndarray) -> np.ndarray:
-    """Per-channel feature vectors from [S, C, L] trend windows.
-
-    The feature is the mean trend window across samples, z-normalized per
-    channel so clustering groups by shape rather than scale.
-    """
-    feats = trend_samples.mean(axis=0)              # [C, L]
-    mu = feats.mean(axis=1, keepdims=True)
-    sd = feats.std(axis=1, keepdims=True)
-    sd[sd == 0] = 1.0
-    return (feats - mu) / sd
-
-
 def _assign(points, centroids):
     # ties break toward the lowest centroid index (argmin is first-match)
     d2 = ((points[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
@@ -41,7 +29,7 @@ def _kmeanspp_seed(points, k, rng):
     n = points.shape[0]
     centroids = [points[rng.integers(n)]]
     for _ in range(k - 1):
-        d2 = ((points[:, None, :] - np.asarray(centroids)[None]) ** 2).sum(axis=2).min(axis=1)
+        d2 = _assign(points, np.asarray(centroids))[1].min(axis=1)
         total = d2.sum()
         if total == 0:
             centroids.append(points[rng.integers(n)])
@@ -53,7 +41,9 @@ def _kmeanspp_seed(points, k, rng):
 def kmeans(points: np.ndarray, k: int, seed: int = 0):
     """Lloyd iterations with k-means++ seeding; returns (assignments, centroids).
 
-    Empty clusters are re-seeded from the point farthest from its centroid.
+    Each empty cluster is re-seeded with the point farthest from its
+    centroid among those whose cluster keeps another member, so every label
+    is used.
     """
     n = points.shape[0]
     if k < 1 or k > n:
@@ -64,12 +54,13 @@ def kmeans(points: np.ndarray, k: int, seed: int = 0):
     for _ in range(MAX_LLOYD_ITERS):
         new_assign, d2 = _assign(points, centroids)
         point_d2 = d2[np.arange(n), new_assign]
-        for j in range(k):
-            if not np.any(new_assign == j):
-                far = point_d2.argmax()
-                centroids[j] = points[far]
-                new_assign[far] = j
-                point_d2[far] = 0.0
+        counts = np.bincount(new_assign, minlength=k)
+        for j in np.flatnonzero(counts == 0):
+            far = np.where(counts[new_assign] > 1, point_d2, -np.inf).argmax()
+            counts[new_assign[far]] -= 1
+            counts[j] = 1
+            centroids[j] = points[far]
+            new_assign[far] = j
         if assignments is not None and np.array_equal(new_assign, assignments):
             break
         assignments = new_assign
@@ -80,12 +71,14 @@ def kmeans(points: np.ndarray, k: int, seed: int = 0):
     return assignments, centroids
 
 
-def fit_clustering(trend_samples: np.ndarray, k: int, seed: int = 0) -> np.ndarray:
-    """Cluster channels of [S, C, L] trend windows into k groups; returns
-    each channel's cluster index."""
-    if trend_samples.ndim != 3 or trend_samples.shape[0] < 1:
-        raise ClusteringError("trend_samples must be [S, C, L] with S >= 1")
-    return kmeans(channel_features(trend_samples), k, seed=seed)[0]
+def fit_clustering(trend: np.ndarray, k: int, seed: int = 0) -> np.ndarray:
+    """Cluster the channels of a [C, L] trend window into k groups by the
+    shape of their z-normalized rows; returns each channel's cluster index.
+    A constant row normalizes to zeros."""
+    mu = trend.mean(axis=1, keepdims=True)
+    sd = trend.std(axis=1, keepdims=True)
+    sd[sd == 0] = 1.0
+    return kmeans((trend - mu) / sd, k, seed=seed)[0]
 
 
 class GroupedLinear:

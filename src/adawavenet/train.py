@@ -15,7 +15,7 @@ from .metrics import score
 from .model import AdaWaveNet, zoh_upsample
 from .tensor import NumericalError, Tensor
 
-MAX_FEATURE_WINDOWS = 512   # leading train windows whose trends feed k-means
+MAX_FEATURE_WINDOWS = 512   # leading train windows whose mean feeds k-means
 EVAL_BATCH = 64             # windows per scoring forward
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 
@@ -72,7 +72,8 @@ def clip_gradients(params: dict[str, Tensor], max_norm: float) -> float:
 
 
 def build_model(dataset: Dataset, config: ModelConfig) -> AdaWaveNet:
-    """Construct the model, fitting the channel clustering on train trends."""
+    """Construct the model, fitting the channel clustering on the trend of the
+    mean leading train window, which is their mean trend (the average is linear)."""
     channels = dataset.values.shape[0]
     if config.n_clusters > channels:
         raise DataError(f"n_clusters={config.n_clusters} exceeds the data's "
@@ -81,8 +82,9 @@ def build_model(dataset: Dataset, config: ModelConfig) -> AdaWaveNet:
     if config.n_clusters > 1:
         xs, _ = windows(dataset, "train", config.input_len, config.pred_len,
                         config.task)
-        trends = decompose(Tensor(xs[:MAX_FEATURE_WINDOWS]), config.ma_window).trend.data
-        assignments = fit_clustering(trends, config.n_clusters, seed=config.seed)
+        trend = decompose(Tensor(xs[:MAX_FEATURE_WINDOWS].mean(axis=0)),
+                          config.ma_window).trend.data  # [C, L]
+        assignments = fit_clustering(trend, config.n_clusters, seed=config.seed)
     return AdaWaveNet(config, channels=channels, assignments=assignments)
 
 

@@ -20,6 +20,7 @@ from adawavenet.data import MaskSpec, windows
 from adawavenet.config import ModelConfig
 from adawavenet.model import (AdaWaveNet, load_checkpoint, model_state,
                               restore_model, save_checkpoint)
+from adawavenet.synth import FAMILIES
 from adawavenet.tensor import Tensor
 from adawavenet.train import _prepare_batch, score_split
 
@@ -229,6 +230,21 @@ class TestTrain:
         assert code == EXIT_DATA
         err = capsys.readouterr().err
         assert err.startswith("data error:") and err.count("\n") == 1
+
+    def test_constant_channels_still_fill_every_cluster(self, tmp_path):
+        """Three constant channels have identical (zero) features; k-means
+        must still give each of the four clusters a channel."""
+        t = np.arange(2400) / 10.0
+        path = tmp_path / "flat.csv"
+        path.write_text("a,b,c,d\n" + "".join(f"1,2,3,{np.cos(v):.6f}\n" for v in t))
+        cfg = tmp_path / "k.txt"
+        cfg.write_text(SMALL + "n_clusters=4\n")
+        out = tmp_path / "o"
+        with pytest.warns(UserWarning, match="constant channels"):
+            assert main(["train", "--data", str(path), "--config", str(cfg),
+                         "--out", str(out), "--quiet"]) == EXIT_OK
+        labels = read_csv_cells(out / "cluster_assignments.csv")[1]
+        assert sorted(labels.tolist()) == ["0", "1", "2", "3"]
 
     def test_missing_config_is_usage_error(self, tmp_path, capsys):
         code = main(["train", "--data", "synth:simple", "--config",
@@ -593,6 +609,11 @@ class TestSynth:
             rows = list(csv.reader(fh))
         assert rows[0] == ["simple"]
         assert len(rows) == 1 + 1024
+
+    def test_family_choices_are_the_synth_families(self):
+        family, = (a for a in subcommands()["synth"]._actions
+                   if "--family" in a.option_strings)
+        assert tuple(family.choices) == FAMILIES
 
     def test_denoised_is_shift_free(self, tmp_path):
         out = str(tmp_path / "syn")

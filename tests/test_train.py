@@ -1,5 +1,6 @@
 import contextlib
 import csv
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,7 +9,9 @@ from pytest import approx
 import adawavenet.tensor as T
 from adawavenet.baselines import LinearBaseline
 from adawavenet.config import ModelConfig, TrainConfig
-from adawavenet.data import MaskSpec, build_dataset
+from adawavenet.data import MaskSpec, build_dataset, windows
+from adawavenet.decompose import decompose
+from adawavenet.grouped import kmeans
 from adawavenet.model import AdaWaveNet
 from adawavenet.tensor import Tensor
 from adawavenet.train import (MAX_FEATURE_WINDOWS, AdamState, NumericalError,
@@ -304,3 +307,44 @@ class TestBuildModel:
         labels = assignments(data)
         assert labels[0] == labels[1] != labels[2] == labels[3]
         assert np.array_equal(assignments(late), labels)
+
+    @pytest.mark.parametrize("channels,k", [(7, 3), (40, 4)])
+    def test_assignments_match_the_mean_of_stacked_trends(self, channels, k):
+        """Oracle: decompose every leading train window, average the trends,
+        z-normalize each channel and run k-means; the trend of the mean
+        window must give the same labels."""
+        rng = np.random.default_rng(channels)
+        t = np.arange(1200) / 24.0
+        freq = rng.uniform(0.2, 2.0, size=(channels, 1))
+        slope = rng.normal(0.0, 0.05, size=(channels, 1))
+        panel = (np.sin(2 * np.pi * freq * t + rng.uniform(0, 6, size=(channels, 1)))
+                 + slope * t + 0.1 * rng.normal(size=(channels, len(t))))
+        ds = build_dataset([f"c{c}" for c in range(channels)], panel, (0.7, 0.15, 0.15))
+        cfg = tiny_config(n_clusters=k, seed=3)
+        xs, _ = windows(ds, "train", cfg.input_len, cfg.pred_len, cfg.task)
+        assert len(xs) > MAX_FEATURE_WINDOWS
+        feats = decompose(Tensor(xs[:MAX_FEATURE_WINDOWS]), cfg.ma_window).trend.data.mean(axis=0)
+        sd = feats.std(axis=1, keepdims=True)
+        sd[sd == 0] = 1.0
+        expected = kmeans((feats - feats.mean(axis=1, keepdims=True)) / sd, k, seed=3)[0]
+        assert np.array_equal(build_model(ds, cfg).trend_head.assignments, expected)
+
+    def test_clustering_memory_does_not_grow_with_the_windows(self, rng):
+        """At C=64 with more than MAX_FEATURE_WINDOWS train windows, fitting
+        four clusters costs under 1 MB of peak memory over one cluster; a
+        stack of 512 windows would be 8 MB per copy."""
+        ds = tiny_dataset(rng, channels=64, total=1400, fractions=(0.7, 0.15, 0.15))
+        cfg = tiny_config()
+        assert len(windows(ds, "train", cfg.input_len, cfg.pred_len, cfg.task)[0]) \
+            > MAX_FEATURE_WINDOWS
+
+        def peak(k):
+            tracemalloc.start()
+            try:
+                build_model(ds, tiny_config(n_clusters=k))
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(4)   # warm caches that both runs share
+        assert peak(4) - peak(1) < 1e6
