@@ -5,6 +5,13 @@ multi-head attention layer with a residual connection mixes the tokens, and
 an affine target projection maps each token back to sequence space. No
 positional encoding is used, so the layer is permutation-equivariant over
 channels.
+
+The scores grow as C², so the core softmax(q kᵀ) v runs through
+`tensor.blockwise` in blocks of batch rows whose [rows, H, C, C] scores fit
+in `BLOCK_BYTES`: its intermediates hold one score block, not the batch.
+Each block runs the GEMMs and row reductions the batch would, so results
+and gradients are bitwise unchanged. When the whole batch fits, as at C=7
+or at B=1, it is one block and one call.
 """
 from __future__ import annotations
 
@@ -12,6 +19,16 @@ import numpy as np
 
 from . import tensor as T
 from .tensor import Tensor
+
+# the float64 [rows, H, C, C] scores of one attention block stay within this
+BLOCK_BYTES = 4 << 20
+
+
+def _attend(q, k, v):
+    """softmax(q kᵀ) v over [B, H, C, dh] queries, keys and values."""
+    scores = T.matmul(q, T.transpose(k, (0, 1, 3, 2)))
+    weights = T.softmax(scores, axis=-1)                         # [B, H, C, C]
+    return T.matmul(weights, v)                                  # [B, H, C, dh]
 
 
 class AttentionHead:
@@ -56,7 +73,7 @@ class AttentionHead:
         tokens = T.matmul(x, self.w_embed)                       # [B, C, d]
         h = T.layer_norm(tokens, self.ln_scale, self.ln_shift)
         # 1/sqrt(dh) scales the [d, d] query weights, so that neither the
-        # [B, H, C, C] scores nor the [B, C, d] queries need another copy
+        # [rows, H, C, C] scores nor the [B, C, d] queries need another copy
         q = T.matmul(h, T.mul(self.w_q, Tensor(1.0 / np.sqrt(dh))))
         k = T.matmul(h, self.w_k)
         v = T.matmul(h, self.w_v)
@@ -64,10 +81,9 @@ class AttentionHead:
         def heads_view(t):   # [B, C, d] -> [B, H, C, dh]
             return T.transpose(T.reshape(t, (B, C, H, dh)), (0, 2, 1, 3))
 
-        q, k, v = heads_view(q), heads_view(k), heads_view(v)
-        scores = T.matmul(q, T.transpose(k, (0, 1, 3, 2)))
-        weights = T.softmax(scores, axis=-1)                     # [B, H, C, C]
-        mixed = T.matmul(weights, v)                             # [B, H, C, dh]
+        rows = max(1, BLOCK_BYTES // (8 * H * C * C))
+        mixed = T.blockwise(_attend, (heads_view(q), heads_view(k), heads_view(v)),
+                            rows)                                # [B, H, C, dh]
         mixed = T.reshape(T.transpose(mixed, (0, 2, 1, 3)), (B, C, self.d_model))
         tokens = T.add(tokens, T.matmul(mixed, self.w_out))      # residual
         return T.add(T.matmul(tokens, self.w_target), self.b_target)

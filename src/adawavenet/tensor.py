@@ -85,11 +85,20 @@ class Tensor:
         requires grad; intermediate nodes keep ``grad`` None."""
         if self.size != 1:
             raise TensorError("backward requires a scalar loss")
+        self._backprop(np.ones_like(self.data))
+
+    def _backprop(self, seed):
+        """`backward` from a gradient ``seed`` of this tensor's shape; a
+        `blockwise` node seeds each block's graph with that block's slice of
+        its output gradient."""
+        if seed.shape != self.shape:
+            raise TensorError(
+                f"gradient seed of shape {seed.shape} for a tensor of shape {self.shape}")
         tape = self.build_tape()
         for node in tape.nodes:
             if node._consumed:
                 raise TensorError("backward called twice on a consumed tape")
-        grads = {id(self): np.ones_like(self.data)}
+        grads = {id(self): seed}
         for node in reversed(tape.nodes):
             g = grads.pop(id(node), None)
             if g is None:
@@ -548,3 +557,45 @@ def layer_norm(x, scale, shift):
         return (gx, gscale, gshift)
 
     return _make(out, (x, scale, shift), backward)
+
+
+# -- blocks ------------------------------------------------------------------
+
+def blockwise(fn, inputs, rows):
+    """``fn(*inputs)`` run on blocks of ``rows`` entries along axis 0 of every
+    input, each block a graph of its own, joined along axis 0 in one node.
+
+    ``fn`` must treat the entries of axis 0 independently. Its temporaries
+    then hold one block, not the batch, and the result and gradients equal
+    one call's bit for bit wherever each of its ops computes an entry the
+    same way at any batch size; an input that no block's graph reaches gets
+    no gradient. With ``rows`` at least the length of axis 0 this is one
+    call of ``fn``.
+    """
+    n = inputs[0].shape[0]
+    if rows < 1 or any(t.shape[0] != n for t in inputs):
+        raise TensorError("blockwise needs rows >= 1 and inputs of one length on axis 0")
+    if rows >= n:
+        return fn(*inputs)
+    blocks = []
+    for start in range(0, n, rows):
+        part = slice(start, start + rows)
+        leaves = tuple(Tensor(t.data[part], requires_grad=t.requires_grad)
+                       for t in inputs)
+        blocks.append((part, leaves, fn(*leaves)))
+
+    def backward(g):
+        grads = [None] * len(inputs)
+        for part, leaves, out in blocks:
+            out._backprop(g[part])
+            for i, leaf in enumerate(leaves):
+                if leaf.grad is None:
+                    continue
+                if grads[i] is None:
+                    # in the memory order of a block's gradient, which one
+                    # call's gradient has too, so the ops below round alike
+                    grads[i] = np.zeros_like(leaf.grad, shape=inputs[i].shape)
+                grads[i][part] = leaf.grad
+        return grads
+
+    return _make(np.concatenate([out.data for _, _, out in blocks]), inputs, backward)

@@ -5,10 +5,11 @@ import pytest
 from pytest import approx
 
 import adawavenet.tensor as T
+from adawavenet import attention
 from adawavenet.attention import AttentionHead
 from adawavenet.tensor import Tensor, TensorError
 
-from conftest import passthrough_attention
+from conftest import check_grads, passthrough_attention
 
 SIZES = {"d_model": 128, "heads": 4}   # the ModelConfig defaults
 
@@ -113,3 +114,71 @@ def test_forward_is_deterministic(rng):
     a = head.project_approximation(Tensor(x)).data
     b = head.project_approximation(Tensor(x)).data
     assert np.array_equal(a, b)
+
+
+def softmax_shapes(monkeypatch):
+    """Spy on the softmax op; returns the list of its input shapes."""
+    shapes = []
+    softmax_op = T.softmax
+
+    def softmax(a, axis=-1):
+        shapes.append(a.shape)
+        return softmax_op(a, axis=axis)
+
+    monkeypatch.setattr(T, "softmax", softmax)
+    return shapes
+
+
+def loss_and_gradients(head, x, target):
+    for p in head.parameters().values():
+        p.zero_grad()
+    xt = Tensor(x, requires_grad=True)
+    loss = T.mse(head.project_approximation(xt), Tensor(target))
+    loss.backward()
+    return loss.data, xt.grad, {k: p.grad for k, p in head.parameters().items()}
+
+
+def block_bytes_for(rows, head, channels):
+    """The BLOCK_BYTES that puts ``rows`` batch entries in each block."""
+    return rows * 8 * head.heads * channels * channels
+
+
+@pytest.mark.parametrize("rows", [1, 2])
+def test_scores_take_one_block_and_results_are_bitwise_unchanged(rng, monkeypatch, rows):
+    head = AttentionHead(6, **SIZES, rng=rng)
+    x, target = rng.normal(size=(5, 4, 6)), rng.normal(size=(5, 4, 6))
+    shapes = softmax_shapes(monkeypatch)
+    want = loss_and_gradients(head, x, target)
+    assert shapes == [(5, head.heads, 4, 4)]        # one call for the batch
+    shapes.clear()
+    monkeypatch.setattr(attention, "BLOCK_BYTES", block_bytes_for(rows, head, 4))
+    got = loss_and_gradients(head, x, target)
+    assert shapes == [(min(rows, 5 - s), head.heads, 4, 4) for s in range(0, 5, rows)]
+    assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+    for name in want[2]:
+        assert np.array_equal(got[2][name], want[2][name]), name
+
+
+@pytest.mark.parametrize("batch", [1, 2])
+def test_wide_batch_splits_and_single_window_is_one_block(rng, monkeypatch, batch):
+    """At Electricity's 321 channels one window's scores fit BLOCK_BYTES, so
+    B=1 runs one softmax over [1, H, C, C] and B=2 runs one per window."""
+    head = AttentionHead(12, **SIZES, rng=rng)
+    shapes = softmax_shapes(monkeypatch)
+    head.project_approximation(Tensor(rng.normal(size=(batch, 321, 12))))
+    assert shapes == [(1, head.heads, 321, 321)] * batch
+
+
+def test_blocked_gradients_match_finite_differences(rng, monkeypatch):
+    head = AttentionHead(6, d_model=8, heads=2, rng=rng)
+    monkeypatch.setattr(attention, "BLOCK_BYTES", block_bytes_for(1, head, 4))
+    shapes = softmax_shapes(monkeypatch)
+    target = rng.normal(size=(3, 4, 6))
+
+    def loss(x, w_q, w_k, w_v):
+        head.w_q, head.w_k, head.w_v = w_q, w_k, w_v
+        return T.mse(head.project_approximation(x), Tensor(target))
+
+    check_grads(loss, [rng.normal(size=(3, 4, 6)), head.w_q.data.copy(),
+                       head.w_k.data.copy(), head.w_v.data.copy()])
+    assert set(shapes) == {(1, 2, 4, 4)}

@@ -106,8 +106,19 @@ class TestBackward:
 
     def test_non_scalar_loss_rejected(self):
         x = Tensor(np.zeros((2, 2)), requires_grad=True)
-        with pytest.raises(TensorError):
+        with pytest.raises(TensorError, match="backward requires a scalar loss"):
             T.add(x, x).backward()
+
+    def test_backprop_seeds_a_non_scalar(self, rng):
+        x = Tensor(rng.normal(size=(2, 3)), requires_grad=True)
+        g = rng.normal(size=(2, 3))
+        T.tanh(x)._backprop(g)
+        assert np.array_equal(x.grad, g * (1.0 - np.tanh(x.data) ** 2))
+
+    def test_backprop_seed_of_another_shape_rejected(self):
+        x = Tensor(np.zeros((2, 3)), requires_grad=True)
+        with pytest.raises(TensorError, match="seed of shape"):
+            T.tanh(x)._backprop(np.ones((3, 2)))
 
     def test_backward_twice_rejected(self):
         x = Tensor([1.0, 2.0], requires_grad=True)
@@ -702,3 +713,76 @@ class TestNoGrad:
         assert T._recording
         w = Tensor(np.ones((2, 2)), requires_grad=True)
         assert T.matmul(w, w)._backward is not None
+
+
+def _rows_independent(a, b, c, d):
+    """Scores, softmax and mix over [n, t, m], each entry of axis 0 alone."""
+    weights = T.softmax(T.matmul(a, T.transpose(b, (0, 2, 1))), axis=-1)
+    return T.add(T.matmul(weights, c), d)
+
+
+class TestBlockwise:
+    """`blockwise` against one call of the same function."""
+
+    @staticmethod
+    def inputs(rng):
+        """Three inputs that require grad and a constant fourth one."""
+        shapes = [(5, 3, 4), (5, 3, 4), (5, 3, 2), (5, 3, 2)]
+        return [Tensor(rng.normal(size=s), requires_grad=i < 3)
+                for i, s in enumerate(shapes)]
+
+    @pytest.mark.parametrize("rows", [1, 2, 5])
+    def test_bitwise_equal_to_one_call(self, rng, rows):
+        blocked = self.inputs(rng)
+        whole = [Tensor(t.data, requires_grad=t.requires_grad) for t in blocked]
+        weight = Tensor(rng.normal(size=(5, 3, 2)))
+        sizes = []
+
+        def fn(*block):
+            sizes.append(block[0].shape[0])
+            return _rows_independent(*block)
+
+        got = T.blockwise(fn, blocked, rows)
+        want = _rows_independent(*whole)
+        T.tsum(T.mul(got, weight)).backward()
+        T.tsum(T.mul(want, weight)).backward()
+        assert sizes == [min(rows, 5 - s) for s in range(0, 5, rows)]
+        assert np.array_equal(got.data, want.data)
+        for b, w in zip(blocked[:3], whole[:3]):
+            assert np.array_equal(b.grad, w.grad)
+        assert blocked[3].grad is None
+
+    def test_backward_gives_none_to_a_constant_input(self, rng):
+        inputs = self.inputs(rng)
+        out = T.blockwise(_rows_independent, inputs, 2)
+        grads = out._backward(np.ones(out.shape))
+        assert [g is None for g in grads] == [False, False, False, True]
+        assert [g.shape for g in grads[:3]] == [t.shape for t in inputs[:3]]
+
+    def test_an_input_that_fn_ignores_gets_no_gradient(self, rng):
+        """As in one call: no block's graph reaches it."""
+        a, b = (Tensor(rng.normal(size=(3, 2)), requires_grad=True) for _ in range(2))
+        T.tsum(T.blockwise(lambda a, b: T.tanh(a), (a, b), 2)).backward()
+        assert b.grad is None
+        assert np.array_equal(a.grad, 1.0 - np.tanh(a.data) ** 2)
+
+    def test_no_grad_records_nothing(self, rng):
+        inputs = self.inputs(rng)
+        with T.no_grad():
+            got = T.blockwise(_rows_independent, inputs, 2)
+        assert got._parents == () and got._backward is None
+        assert not got.requires_grad
+        assert np.array_equal(got.data, _rows_independent(*inputs).data)
+
+    def test_backward_twice_rejected(self, rng):
+        loss = T.tsum(T.blockwise(_rows_independent, self.inputs(rng), 2))
+        loss.backward()
+        with pytest.raises(TensorError):
+            loss.backward()
+
+    @pytest.mark.parametrize("rows,n_d", [(0, 5), (2, 4)])
+    def test_rejects_empty_blocks_and_unequal_lengths(self, rng, rows, n_d):
+        inputs = self.inputs(rng)
+        inputs[3] = Tensor(rng.normal(size=(n_d, 3, 2)))
+        with pytest.raises(TensorError):
+            T.blockwise(_rows_independent, inputs, rows)
