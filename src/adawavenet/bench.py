@@ -21,7 +21,7 @@ from .data import (Dataset, DataError, MaskSpec, build_dataset, load_csv,
 from .metrics import metrics, within_jensen
 from .model import AdaWaveNet
 from .svgplot import save_chart
-from .synth import SynthError, SynthSpec, denoised_target, generate
+from .synth import SynthSpec, denoised_target, generate
 from .tensor import NumericalError, Tensor, no_grad
 from .train import EVAL_BATCH, build_model, evaluate, score_split, train
 
@@ -259,8 +259,8 @@ def load_manifest(path: str) -> dict:
         name = cell["dataset"]
         if name.startswith("synth:"):
             try:
-                SynthSpec(family=name.split(":", 1)[1]).validate()
-            except SynthError as exc:
+                SynthSpec(family=name.split(":", 1)[1])
+            except ConfigError as exc:
                 raise ConfigError(f"cell {name}: {exc}") from None
         for seed in cell.get("seeds", [0]):
             cell_configs(cell, seed)

@@ -20,7 +20,7 @@ from .data import DataError, MaskSpec, load_csv, windows
 from .decompose import decompose
 from .lifting import LiftingLevel, check_depth, lift_forward
 from .model import load_checkpoint, model_state, restore_model, save_checkpoint
-from .synth import FAMILIES, SynthError, SynthSpec, denoised_target, generate
+from .synth import FAMILIES, SynthSpec, denoised_target, generate
 from .tensor import NumericalError, Tensor, TensorError, no_grad
 from .train import _prepare_batch, build_model, evaluate, train
 
@@ -176,17 +176,18 @@ def cmd_impute(args):
 def cmd_superres(args):
     model, dataset = _load_model(args)
     ch = _channel(args, model)
-    if args.ratio < 1 or model.config.input_len % args.ratio:
-        raise UsageError(f"--ratio {args.ratio} must be >= 1 and divide the "
+    ratio = model.config.sr_ratio if args.ratio is None else args.ratio
+    if ratio < 1 or model.config.input_len % ratio:
+        raise UsageError(f"--ratio {ratio} must be >= 1 and divide the "
                          f"model's input_len {model.config.input_len}")
     low_res, x, _, pred = _test_window(model, dataset, "superres", 0,
-                                       sr_ratio=args.ratio)
+                                       sr_ratio=ratio)
     os.makedirs(args.out, exist_ok=True)
     _write_csv(os.path.join(args.out, "superres.csv"), dataset.channel_names, pred)
     svgplot.save_chart(os.path.join(args.out, "superres.svg"),
                        {"ground truth": x[ch], "low-res input": low_res[ch],
                         "prediction": pred[ch]},
-                       title=f"super-resolution r={args.ratio}")
+                       title=f"super-resolution r={ratio}")
     print(f"wrote superres.csv and superres.svg to {args.out}")
     return EXIT_OK
 
@@ -284,7 +285,8 @@ def build_parser():
             "--channel")
     p = command("superres", cmd_superres, "reconstruct from a downsampled window",
                 "--data", "--checkpoint", "--out", "--channel")
-    p.add_argument("--ratio", type=int, default=2)
+    p.add_argument("--ratio", type=int, default=None,
+                   help="downsampling ratio (default: the checkpoint's sr_ratio)")
 
     signal = SynthSpec()
     p = command("synth", cmd_synth, "generate a synthetic signal", "--out")
@@ -316,7 +318,7 @@ def main(argv=None):
         # scores and predictions turn it into a NumericalError instead
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             return args.func(args)
-    except (UsageError, ConfigError, SynthError, OSError) as exc:
+    except (UsageError, ConfigError, OSError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except DataError as exc:

@@ -1,4 +1,5 @@
-"""Dataclass configs and the key=value text format they serialize to."""
+"""Frozen dataclass configs, each checked when it is built, and the key=value
+text format they serialize to."""
 from __future__ import annotations
 
 import math
@@ -14,7 +15,7 @@ class ConfigError(ValueError):
     pass
 
 
-@dataclass
+@dataclass(frozen=True)
 class ModelConfig:
     levels: int = 4
     kernel_size: int = 7
@@ -30,7 +31,7 @@ class ModelConfig:
     sr_ratio: int = 1
     seed: int = 0
 
-    def validate(self) -> "ModelConfig":
+    def __post_init__(self):
         if self.task not in TASKS:
             raise ConfigError(f"unknown task {self.task!r}")
         if self.inverse_mode not in INVERSE_MODES:
@@ -53,14 +54,13 @@ class ModelConfig:
                 f"input_len {self.input_len} too short for {self.levels} levels")
         if not 1 <= self.heads <= self.d_model or self.d_model % self.heads != 0:
             raise ConfigError("heads must be >= 1 and divide d_model")
-        return self
 
     @property
     def final_len(self) -> int:
         return final_length(self.input_len, self.levels)
 
 
-@dataclass
+@dataclass(frozen=True)
 class TrainConfig:
     learning_rate: float = 5e-4
     batch_size: int = 16
@@ -69,7 +69,7 @@ class TrainConfig:
     seed: int = 0
     clip_norm: float = 5.0
 
-    def validate(self) -> "TrainConfig":
+    def __post_init__(self):
         for name in ("learning_rate", "clip_norm"):     # clip_norm=0: no clipping
             if not 0 <= getattr(self, name) < math.inf:
                 raise ConfigError(f"{name} must be finite and >= 0")
@@ -77,7 +77,6 @@ class TrainConfig:
                           ("seed", 0)):
             if getattr(self, name) < low:
                 raise ConfigError(f"{name} must be >= {low}")
-        return self
 
 
 def _coerce(value: str, typ):
@@ -118,9 +117,10 @@ def read_items(text: str) -> list[tuple[str, str, str]]:
 
 
 def build(classes, items) -> tuple:
-    """One validated config per class from (where, key, value) items: a key
-    sets the field of its name in every class that has one, a later item
-    overrides an earlier one, and a value's text is parsed by its field's type."""
+    """One config per class from (where, key, value) items: a key sets the
+    field of its name in every class that has one, a later item overrides an
+    earlier one, and a value's text is parsed by its field's type. Each class
+    checks its fields when it is built, so a bad value raises here."""
     types = {"int": int, "float": float, "bool": bool, "str": str}
     kwargs = [{} for _ in classes]
     for where, key, value in items:
@@ -133,4 +133,4 @@ def build(classes, items) -> tuple:
                 kw[key] = _coerce(str(value), typ)
         except ValueError as exc:
             raise ConfigError(f"{where}: bad value for {key!r}: {exc}") from None
-    return tuple(cls(**kw).validate() for cls, kw in zip(classes, kwargs))
+    return tuple(cls(**kw) for cls, kw in zip(classes, kwargs))

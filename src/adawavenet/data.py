@@ -114,20 +114,21 @@ def windows(dataset: Dataset, split: str, input_len: int, pred_len: int, task: s
     return view[..., :input_len], view[..., input_len:]
 
 
-@dataclass
+@dataclass(frozen=True)
 class MaskSpec:
+    """Imputation mask settings; an unknown mode, a ratio outside (0, 1) or a
+    negative seed raises DataError when the spec is built."""
     mode: str = "random"       # "random" | "extended"
     ratio: float = 0.25
     seed: int = 0
 
-    def validate(self):
+    def __post_init__(self):
         if self.mode not in ("random", "extended"):
             raise DataError(f"unknown mask mode {self.mode!r}")
         if not 0.0 < self.ratio < 1.0:
             raise DataError("mask ratio must lie in (0, 1)")
         if self.seed < 0:
             raise DataError("mask seed must be >= 0")
-        return self
 
 
 def make_mask(spec: MaskSpec, shape: tuple[int, int], salt: int,
@@ -138,7 +139,6 @@ def make_mask(spec: MaskSpec, shape: tuple[int, int], salt: int,
     conceals one contiguous block shared by every channel. The generator is
     seeded with (spec.seed, salt, window), whatever the window's batch.
     """
-    spec.validate()
     C, L = shape
     n_masked = int(round(spec.ratio * L))
     if n_masked == 0:

@@ -10,13 +10,10 @@ from __future__ import annotations
 import numpy as np
 
 from . import tensor as T
+from .data import DataError
 from .tensor import Tensor
 
 MAX_LLOYD_ITERS = 100
-
-
-class ClusteringError(ValueError):
-    pass
 
 
 def _assign(points, centroids):
@@ -43,11 +40,11 @@ def kmeans(points: np.ndarray, k: int, seed: int = 0):
 
     Each empty cluster is re-seeded with the point farthest from its
     centroid among those whose cluster keeps another member, so every label
-    is used.
+    is used. A k outside 1..n (more clusters than points) is a DataError.
     """
     n = points.shape[0]
     if k < 1 or k > n:
-        raise ClusteringError(f"k must be in 1..{n}, got {k}")
+        raise DataError(f"k must be in 1..{n}, got {k}")
     rng = np.random.default_rng(seed)
     centroids = _kmeanspp_seed(points, k, rng)
     assignments = None

@@ -49,7 +49,6 @@ class AdaWaveNet:
                  assignments: np.ndarray | None = None):
         """assignments: each channel's trend cluster in [0, n_clusters),
         required when n_clusters > 1."""
-        config.validate()
         self.config = config
         self.channels = channels
         rng = np.random.default_rng(config.seed)

@@ -18,6 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import ConfigError
+
 FAMILIES = ("simple", "traffic", "electricity")
 # the fixed terms of the simple family and every family's noise level
 F2, ALPHA, T0, BETA = 50.0, 50.0, 0.5, 1.0
@@ -26,12 +28,10 @@ DEFAULT_N_POINTS = 1024
 DEFAULT_TRAIN_POINTS = 512
 
 
-class SynthError(ValueError):
-    pass
-
-
-@dataclass
+@dataclass(frozen=True)
 class SynthSpec:
+    """One synthetic signal; an unknown family, n_points < 2 or a negative
+    seed raises ConfigError when the spec is built."""
     family: str = "simple"
     f1: float = 5.0
     variance_shift: float = 0.0   # 0, 1 or 2
@@ -40,13 +40,12 @@ class SynthSpec:
     n_points: int = DEFAULT_N_POINTS
     seed: int = 0
 
-    def validate(self):
+    def __post_init__(self):
         if self.family not in FAMILIES:
-            raise SynthError(f"unknown family {self.family!r}")
+            raise ConfigError(f"unknown family {self.family!r}")
         for name, low in (("n_points", 2), ("seed", 0)):
             if getattr(self, name) < low:
-                raise SynthError(f"{name} must be >= {low}")
-        return self
+                raise ConfigError(f"{name} must be >= {low}")
 
 
 def _clean(spec: SynthSpec, t: np.ndarray) -> np.ndarray:
@@ -77,6 +76,5 @@ def generate(spec: SynthSpec) -> np.ndarray:
 
 def denoised_target(spec: SynthSpec) -> np.ndarray:
     """Noise-free, shift-free reference signal, shape [1, n]."""
-    spec.validate()
     t = np.linspace(0.0, 1.0, spec.n_points)
     return _clean(spec, t)[None, :]

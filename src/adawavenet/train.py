@@ -25,16 +25,11 @@ class AdamState:
         self.step_count = 0
         self.m = {k: np.zeros_like(p.data) for k, p in params.items()}
         self.v = {k: np.zeros_like(p.data) for k, p in params.items()}
-        # two scratch buffers per parameter, so that a step allocates nothing
-        self.scratch = {k: (np.empty_like(p.data), np.empty_like(p.data))
-                        for k, p in params.items()}
 
 
 def adam_step(params: dict[str, Tensor], state: AdamState, lr: float):
     """Standard bias-corrected Adam update of m, v and the parameters in
-    place; grads must be populated. Every product is rounded as in
-    m = b1*m + (1-b1)*g, v = b2*v + (1-b2)*g*g and
-    p -= lr * (m/(1-b1^t)) / (sqrt(v/(1-b2^t)) + eps)."""
+    place; grads must be populated."""
     state.step_count += 1
     t = state.step_count
     b1, b2 = ADAM_BETA1, ADAM_BETA2
@@ -43,20 +38,11 @@ def adam_step(params: dict[str, Tensor], state: AdamState, lr: float):
         if g is None:
             continue
         m, v = state.m[name], state.v[name]
-        step, denom = state.scratch[name]
         m *= b1
-        m += np.multiply(g, 1 - b1, out=step)
+        m += (1 - b1) * g
         v *= b2
-        np.multiply(g, 1 - b2, out=step)
-        step *= g
-        v += step
-        np.divide(v, 1 - b2 ** t, out=denom)
-        np.sqrt(denom, out=denom)
-        denom += ADAM_EPS
-        np.divide(m, 1 - b1 ** t, out=step)
-        step *= lr
-        step /= denom
-        p.data -= step
+        v += (1 - b2) * g * g
+        p.data -= lr * (m / (1 - b1 ** t)) / (np.sqrt(v / (1 - b2 ** t)) + ADAM_EPS)
 
 
 def clip_gradients(params: dict[str, Tensor], max_norm: float) -> float:
@@ -140,7 +126,6 @@ def train(model: AdaWaveNet, dataset: Dataset, train_cfg: TrainConfig,
     (epoch, train_loss, val_loss, lr, seconds).
     """
     cfg = model.config
-    train_cfg.validate()
     if cfg.task == "impute" and mask_spec is None:
         raise ValueError("imputation training requires a mask spec")
     xs, ys = windows(dataset, "train", cfg.input_len, cfg.pred_len, cfg.task)

@@ -1,7 +1,6 @@
 import argparse
 import ast
 import csv
-import dataclasses
 import inspect
 import json
 import os
@@ -441,12 +440,15 @@ class TestEvalAndShowcase:
         assert main(argv + ["96"]) == EXIT_OK
 
     def test_checkpoint_with_bad_sr_ratio_is_data_error(self, tmp_path, capsys):
-        """A header value that validation rejects makes a bad checkpoint."""
+        """A header value that ModelConfig rejects makes a bad checkpoint."""
         cfg = ModelConfig(levels=2, d_model=16, heads=4)
-        path = str(tmp_path / "m.awn")
-        save_checkpoint(path, dataclasses.replace(cfg, sr_ratio=0),
+        path = tmp_path / "m.awn"
+        save_checkpoint(str(path), cfg,
                         model_state(AdaWaveNet(cfg, channels=1), [0.0], [1.0]))
-        assert main(["eval", "--data", "synth:simple", "--checkpoint", path]) == EXIT_DATA
+        # same length, so every length prefix stays valid
+        path.write_bytes(path.read_bytes().replace(b"sr_ratio=1\n", b"sr_ratio=0\n"))
+        assert main(["eval", "--data", "synth:simple", "--checkpoint",
+                     str(path)]) == EXIT_DATA
         assert one_line_error(capsys, "data error:")
 
     def test_removed_eq9_literal_true_checkpoint_is_data_error(self, tmp_path,
@@ -508,6 +510,22 @@ class TestEvalAndShowcase:
         _, _, _, pred = cli._test_window(model, dataset, "forecast", -1)
         assert [out._backward for out in outputs] == [None]
         assert np.array_equal(pred, outputs[0].data[0])
+
+    def test_superres_ratio_defaults_to_the_checkpoint_sr_ratio(self, tmp_path):
+        """Without --ratio, a model trained at r=4 reconstructs at r=4."""
+        cfg = ModelConfig(levels=2, d_model=16, heads=4, task="superres",
+                          sr_ratio=4)
+        ckpt = str(tmp_path / "m.awn")
+        save_checkpoint(ckpt, cfg,
+                        model_state(AdaWaveNet(cfg, channels=1), [0.0], [1.0]))
+        out = str(tmp_path / "sr")
+        assert main(["superres", "--data", "synth:simple", "--checkpoint", ckpt,
+                     "--out", out]) == EXIT_OK
+        model, (inp, _, _) = shared_path_batch(ckpt, "superres", 0, sr_ratio=4)
+        expected = model.forward(Tensor(inp)).data[0]
+        got = read_csv_cells(os.path.join(out, "superres.csv"))
+        assert np.array_equal(got, as_cells(expected))
+        assert "r=4" in Path(out, "superres.svg").read_text()
 
     def test_superres_is_forward_of_first_test_window(self, trained, tmp_path):
         ckpt = os.path.join(trained, "model.awn")
@@ -609,6 +627,12 @@ class TestSynth:
             rows = list(csv.reader(fh))
         assert rows[0] == ["simple"]
         assert len(rows) == 1 + 1024
+
+    def test_too_few_points_is_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "syn"
+        assert main(["synth", "--n-points", "1", "--out", str(out)]) == EXIT_USAGE
+        assert capsys.readouterr().err == "usage error: n_points must be >= 2\n"
+        assert not out.exists()
 
     def test_family_choices_are_the_synth_families(self):
         family, = (a for a in subcommands()["synth"]._actions

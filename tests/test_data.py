@@ -219,16 +219,17 @@ class TestMasks:
                 make_mask(MaskSpec(mode, 0.01), (1, 32), 0, 0)
 
     def test_bad_spec_rejected(self):
+        """A bad spec fails when it is built, before make_mask can see it."""
         with pytest.raises(DataError):
-            make_mask(MaskSpec("diagonal", 0.25), (1, 32), 0, 0)
+            MaskSpec("diagonal", 0.25)
         with pytest.raises(DataError):
-            make_mask(MaskSpec("random", 0.0), (1, 32), 0, 0)
+            MaskSpec("random", 0.0)
         with pytest.raises(DataError):
-            make_mask(MaskSpec("random", 1.0), (1, 32), 0, 0)
+            MaskSpec("random", 1.0)
 
     def test_negative_seed_rejected(self):
         with pytest.raises(DataError, match="seed"):
-            MaskSpec(seed=-1).validate()
+            MaskSpec(seed=-1)
 
     @settings(max_examples=30, deadline=None)
     @given(st.sampled_from([0.125, 0.25, 0.375, 0.5]),

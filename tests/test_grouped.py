@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from pytest import approx
 
-from adawavenet.grouped import ClusteringError, GroupedLinear, fit_clustering, kmeans
+from adawavenet.data import DataError
+from adawavenet.grouped import GroupedLinear, fit_clustering, kmeans
 from adawavenet.tensor import Tensor
 
 
@@ -124,15 +125,15 @@ class TestKMeans:
 
     def test_bad_k_rejected(self, rng):
         points = rng.normal(size=(4, 2))
-        with pytest.raises(ClusteringError):
+        with pytest.raises(DataError):
             kmeans(points, 0)
-        with pytest.raises(ClusteringError):
+        with pytest.raises(DataError):
             kmeans(points, 5)
 
 
 class TestFitClustering:
     def test_k_greater_than_channels_rejected(self, rng):
-        with pytest.raises(ClusteringError):
+        with pytest.raises(DataError):
             fit_clustering(rng.normal(size=(3, 8)), 4)
 
     def test_identical_shape_channels_share_cluster(self, rng):

@@ -13,8 +13,14 @@ A second check requires every library parameter that has a default to be
 passed, by keyword or by position, at some call in those files: a default
 that no program call overrides is a constant. Calls are matched by the
 called name, and ``__init__`` by its class's name.
+
+A third check requires every exception class the library defines to be one
+that ``cli.main`` turns into an exit code.
 """
 import ast
+import builtins
+import importlib
+import inspect
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -150,3 +156,35 @@ def test_every_parameter_with_a_default_is_passed_by_the_program():
     """A default that no program call overrides is a constant: exactly the
     DEFAULT_ALLOWED parameters are never passed, so a stale entry fails too."""
     assert sorted(unpassed_defaults()) == sorted(DEFAULT_ALLOWED)
+
+
+def exit_code_exceptions():
+    """The exception types named by the except clauses of ``cli.main``."""
+    cli = importlib.import_module("adawavenet.cli")
+    tree = ast.parse(inspect.getsource(cli.main))
+    names = [node.id for handler in ast.walk(tree)
+             if isinstance(handler, ast.ExceptHandler)
+             for node in ast.walk(handler.type) if isinstance(node, ast.Name)]
+    return tuple(getattr(cli, name, None) or getattr(builtins, name)
+                 for name in names)
+
+
+def library_exceptions():
+    """Every exception class defined in a library module."""
+    modules = [importlib.import_module("adawavenet" if path.stem == "__init__"
+                                       else f"adawavenet.{path.stem}")
+               for path in LIBRARY]
+    return [obj for mod in modules for obj in vars(mod).values()
+            if inspect.isclass(obj) and issubclass(obj, BaseException)
+            and obj.__module__ == mod.__name__]
+
+
+def test_every_library_exception_has_an_exit_code():
+    """A library error that ``cli.main`` does not map ends the CLI in a
+    traceback instead of exit 1, 2 or 3 with one line."""
+    mapped = exit_code_exceptions()
+    assert {t.__name__ for t in mapped} >= {"UsageError", "ConfigError",
+                                            "DataError", "NumericalError",
+                                            "TensorError"}
+    assert [e.__name__ for e in library_exceptions()
+            if not issubclass(e, mapped)] == []

@@ -1,4 +1,4 @@
-from dataclasses import fields
+from dataclasses import FrozenInstanceError, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -14,6 +14,7 @@ from adawavenet.bench import resolve_dataset
 from adawavenet.data import DataError, MaskSpec
 from adawavenet.model import (AdaWaveNet, RevIN, load_checkpoint, model_state,
                               restore_model, save_checkpoint, zoh_upsample)
+from adawavenet.synth import SynthSpec
 from adawavenet.tensor import Tensor, TensorError
 from adawavenet.train import _prepare_batch, evaluate
 
@@ -162,26 +163,26 @@ class TestForward:
 class TestConfig:
     def test_pred_len_must_match_input_len(self):
         with pytest.raises(ConfigError):
-            ModelConfig(input_len=96, pred_len=48).validate()
+            ModelConfig(input_len=96, pred_len=48)
 
     def test_even_ma_window_rejected(self):
         with pytest.raises(ConfigError):
-            ModelConfig(ma_window=4).validate()
+            ModelConfig(ma_window=4)
 
     def test_too_many_levels_rejected(self):
         with pytest.raises(ConfigError):
-            ModelConfig(levels=6, input_len=96, pred_len=96).validate()
+            ModelConfig(levels=6, input_len=96, pred_len=96)
 
     @pytest.mark.parametrize("field", ["levels", "kernel_size", "n_clusters",
                                        "sr_ratio"])
     def test_sizes_below_one_rejected(self, field):
         with pytest.raises(ConfigError, match=field):
-            ModelConfig(**{field: 0}).validate()
+            ModelConfig(**{field: 0})
 
     @pytest.mark.parametrize("field", ["batch_size", "max_epochs", "patience"])
     def test_train_sizes_below_one_rejected(self, field):
         with pytest.raises(ConfigError, match=field):
-            TrainConfig(**{field: 0}).validate()
+            TrainConfig(**{field: 0})
 
     def test_sr_ratio_must_divide_input_len_for_superres(self):
         """Only super-resolution reads the ratio, so only it needs the
@@ -190,26 +191,45 @@ class TestConfig:
             return ModelConfig(task=task, levels=2, input_len=48, pred_len=48,
                                sr_ratio=ratio)
 
-        cfg("superres", 4).validate()
-        cfg("forecast", 5).validate()
+        cfg("superres", 4)
+        cfg("forecast", 5)
         with pytest.raises(ConfigError, match="sr_ratio 5 does not divide input_len 48"):
-            cfg("superres", 5).validate()
+            cfg("superres", 5)
 
     def test_negative_learning_rate_rejected(self):
-        TrainConfig(learning_rate=0.0).validate()
+        TrainConfig(learning_rate=0.0)
         with pytest.raises(ConfigError):
-            TrainConfig(learning_rate=-1e-3).validate()
+            TrainConfig(learning_rate=-1e-3)
 
     @pytest.mark.parametrize("value", [np.nan, np.inf])
     def test_non_finite_learning_rate_rejected(self, value):
         with pytest.raises(ConfigError, match="learning_rate"):
-            TrainConfig(learning_rate=value).validate()
+            TrainConfig(learning_rate=value)
 
     @pytest.mark.parametrize("cls", [ModelConfig, TrainConfig])
     def test_negative_seed_rejected(self, cls):
-        cls(seed=0).validate()
+        cls(seed=0)
         with pytest.raises(ConfigError, match="seed"):
-            cls(seed=-1).validate()
+            cls(seed=-1)
+
+    @pytest.mark.parametrize("cls,field,bad,error", [
+        (ModelConfig, "levels", 0, ConfigError),
+        (TrainConfig, "batch_size", 0, ConfigError),
+        (MaskSpec, "ratio", 1.0, DataError),
+        (SynthSpec, "n_points", 1, ConfigError),
+    ])
+    def test_settings_are_frozen_and_checked_when_built(self, cls, field, bad,
+                                                        error):
+        """An invalid settings object cannot exist, so make_mask, train and
+        AdaWaveNet never see one: building or replacing a field checks it,
+        and a built object cannot be changed."""
+        spec = cls()
+        with pytest.raises(FrozenInstanceError):
+            setattr(spec, field, bad)
+        with pytest.raises(error, match=field):
+            cls(**{field: bad})
+        with pytest.raises(error, match=field):
+            replace(spec, **{field: bad})
 
     @pytest.mark.parametrize("text", ["kernel_size=3\nlevels=abc",
                                       "kernel_size=3\nrevin=maybe"])

@@ -3,7 +3,8 @@ import pytest
 from pytest import approx
 
 import adawavenet.synth as S
-from adawavenet.synth import (SynthError, SynthSpec, denoised_target, generate)
+from adawavenet.config import ConfigError
+from adawavenet.synth import SynthSpec, denoised_target, generate
 
 
 class TestCleanSignal:
@@ -45,13 +46,13 @@ class TestCleanSignal:
                               + 3 * np.sin(2 * np.pi * 365 * t) + 2 * t)
 
     def test_unknown_family_rejected(self):
-        with pytest.raises(SynthError):
-            generate(SynthSpec(family="lorenz"))
+        with pytest.raises(ConfigError, match="lorenz"):
+            SynthSpec(family="lorenz")
 
 
 def test_negative_seed_rejected():
-    with pytest.raises(SynthError, match="seed"):
-        generate(SynthSpec(seed=-1))
+    with pytest.raises(ConfigError, match="seed"):
+        SynthSpec(seed=-1)
 
 
 class TestNoise:
