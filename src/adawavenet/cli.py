@@ -178,7 +178,9 @@ def cmd_superres(args):
     ch = _channel(args, model)
     ratio = model.config.sr_ratio if args.ratio is None else args.ratio
     if ratio < 1 or model.config.input_len % ratio:
-        raise UsageError(f"--ratio {ratio} must be >= 1 and divide the "
+        source = ("the checkpoint's sr_ratio" if args.ratio is None
+                  else "--ratio")
+        raise UsageError(f"{source} {ratio} must be >= 1 and divide the "
                          f"model's input_len {model.config.input_len}")
     low_res, x, _, pred = _test_window(model, dataset, "superres", 0,
                                        sr_ratio=ratio)

@@ -131,28 +131,67 @@ class MaskSpec:
             raise DataError("mask seed must be >= 0")
 
 
-def make_mask(spec: MaskSpec, shape: tuple[int, int], salt: int,
-              window: int) -> np.ndarray:
-    """Binary [C, L] mask of one window; 0 marks a concealed position.
+_UINT64 = (1 << 64) - 1
 
-    Random mode conceals positions independently per channel; extended mode
-    conceals one contiguous block shared by every channel. The generator is
-    seeded with (spec.seed, salt, window), whatever the window's batch.
+
+def _splitmix64(z: np.ndarray) -> np.ndarray:
+    """splitmix64's output mix (Steele et al., OOPSLA 2014), in place on a
+    uint64 array, wrapping mod 2**64."""
+    z += np.uint64(0x9E3779B97F4A7C15)
+    z ^= z >> np.uint64(30)
+    z *= np.uint64(0xBF58476D1CE4E5B9)
+    z ^= z >> np.uint64(27)
+    z *= np.uint64(0x94D049BB133111EB)
+    z ^= z >> np.uint64(31)
+    return z
+
+
+def _mix_int(h: np.ndarray, value: int) -> np.ndarray:
+    """Mix a non-negative Python int of any size into the keys h, one 64-bit
+    limb at a time (the low limb first; 0 is one limb)."""
+    value = int(value)
+    while True:
+        h = _splitmix64(h ^ np.uint64(value & _UINT64))
+        value >>= 64
+        if not value:
+            return h
+
+
+def make_mask(spec: MaskSpec, shape: tuple[int, int], salt: int,
+              window) -> np.ndarray:
+    """Binary masks of one window or an int array of them, shaped
+    ``np.shape(window) + (C, L)``; 0 marks a concealed position.
+
+    Each window's key is a splitmix64 mix of (spec.seed, salt, window), and
+    position (c, t) of the window gets the key mixed with ``c·L + t``: a
+    counter-based stream (Salmon et al., SC 2011), so a window's mask is the
+    same whatever its batch, and a batch is drawn in a few array passes.
+    Random mode conceals the round(ratio·L) positions of smallest key in each
+    channel; extended mode conceals one block of that length shared by every
+    channel, at offset ``key mod (L - n + 1)``.
     """
     C, L = shape
     n_masked = int(round(spec.ratio * L))
     if n_masked == 0:
         raise DataError(f"ratio {spec.ratio} conceals no sample of L={L}")
-    rng = np.random.default_rng([spec.seed, salt, window])
-    mask = np.ones(shape)
+    if n_masked == L:
+        raise DataError(f"ratio {spec.ratio} conceals every sample of L={L}")
+    window = np.asarray(window)
+    keys = _mix_int(_mix_int(np.zeros(1, np.uint64), spec.seed), salt)
+    keys = _splitmix64(keys ^ window.reshape(-1).astype(np.uint64))   # [N]
     if spec.mode == "random":
-        for c in range(C):
-            idx = rng.choice(L, size=n_masked, replace=False)
-            mask[c, idx] = 0.0
+        positions = np.arange(C * L, dtype=np.uint64)
+        element = _splitmix64(keys[:, None] ^ positions).reshape(-1, C, L)
+        # splitmix64 is a bijection of uint64, so a channel's L keys are
+        # distinct and exactly n_masked of them are <= its n_masked-th smallest
+        kth = np.partition(element, n_masked - 1, axis=-1)[..., n_masked - 1, None]
+        mask = (element > kth).astype(float)
     else:
-        offset = int(rng.integers(0, L - n_masked + 1))
-        mask[:, offset:offset + n_masked] = 0.0
-    return mask
+        offset = (keys % np.uint64(L - n_masked + 1)).astype(np.int64)[:, None]
+        t = np.arange(L)
+        block = (t >= offset) & (t < offset + n_masked)                  # [N, L]
+        mask = np.broadcast_to(~block[:, None, :], (len(keys), C, L)).astype(float)
+    return mask.reshape(window.shape + (C, L))
 
 
 def downsample(x: np.ndarray, r: int) -> np.ndarray:

@@ -81,8 +81,7 @@ def _prepare_batch(task, xs, ys, idx, mask_spec, sr_ratio, mask_salt):
     if task == "forecast":
         return x, y, None
     if task == "impute":
-        masks = np.stack([make_mask(mask_spec, x.shape[1:], mask_salt, int(i))
-                          for i in idx])
+        masks = make_mask(mask_spec, x.shape[1:], mask_salt, idx)
         return x * masks, y, 1.0 - masks
     if task == "superres":
         return zoh_upsample(downsample(x, sr_ratio), sr_ratio), y, None

@@ -446,6 +446,8 @@ def _reference_evaluate_forecast(model, dataset, split="test", batch_size=64):
 
 
 def _reference_evaluate_impute(model, dataset, mask_spec, split="test", batch_size=64):
+    """Masks drawn one window at a time, against the evaluator's one
+    make_mask call per batch."""
     cfg = model.config
     pairs = list(_reference_windows(dataset, split, cfg.input_len, cfg.pred_len, "impute"))
     preds, tgts, masks = [], [], []

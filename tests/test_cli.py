@@ -439,6 +439,23 @@ class TestEvalAndShowcase:
             assert not out.exists()
         assert main(argv + ["96"]) == EXIT_OK
 
+    @pytest.mark.parametrize("ratio_args,prefix", [
+        ([], "usage error: the checkpoint's sr_ratio 5 "),
+        (["--ratio", "5"], "usage error: --ratio 5 ")])
+    def test_superres_ratio_error_names_where_the_ratio_came_from(
+            self, tmp_path, capsys, ratio_args, prefix):
+        """A forecast checkpoint may carry an sr_ratio that does not divide
+        input_len; without --ratio the message names the checkpoint's value,
+        not a flag that was not given."""
+        cfg = ModelConfig(levels=2, d_model=16, heads=4, sr_ratio=5)
+        path = str(tmp_path / "m.awn")
+        save_checkpoint(path, cfg, model_state(AdaWaveNet(cfg, channels=1), [0.0], [1.0]))
+        out = tmp_path / "o"
+        assert main(["superres", "--data", "synth:simple", "--checkpoint", path,
+                     "--out", str(out)] + ratio_args) == EXIT_USAGE
+        assert one_line_error(capsys, prefix)
+        assert not out.exists()
+
     def test_checkpoint_with_bad_sr_ratio_is_data_error(self, tmp_path, capsys):
         """A header value that ModelConfig rejects makes a bad checkpoint."""
         cfg = ModelConfig(levels=2, d_model=16, heads=4)

@@ -197,19 +197,103 @@ class TestMasks:
         """Over many windows every position should be concealed at close to
         the nominal rate; a strongly biased generator would fail this."""
         L, draws, ratio = 96, 10000, 0.25
-        counts = np.zeros(L)
-        for window in range(draws):
-            counts += make_mask(MaskSpec("random", ratio), (1, L), 0, window)[0] == 0
-        rate = counts / draws
+        masks = make_mask(MaskSpec("random", ratio), (1, L), 0, np.arange(draws))
+        rate = (masks[:, 0] == 0).mean(axis=0)
         # binomial std at p=0.25, n=10000 is ~0.0043; allow 5 sigma
         assert np.abs(rate - ratio).max() < 5 * np.sqrt(ratio * (1 - ratio) / draws)
 
+    def test_extended_offsets_uniform(self):
+        """The block starts at each of its L - n + 1 places at close to the
+        same rate."""
+        L, draws, ratio = 96, 20000, 0.25
+        n = int(round(ratio * L))
+        masks = make_mask(MaskSpec("extended", ratio, seed=2), (1, L), 4,
+                          np.arange(draws))
+        offsets = np.argmin(masks[:, 0], axis=-1)
+        counts = np.bincount(offsets, minlength=L - n + 1)
+        assert len(counts) == L - n + 1
+        p = 1.0 / (L - n + 1)
+        # binomial std of each count; allow 5 sigma
+        assert np.abs(counts / draws - p).max() < 5 * np.sqrt(p * (1 - p) / draws)
+
+    @pytest.mark.parametrize("mode", ["random", "extended"])
+    @settings(max_examples=25, deadline=None)
+    @given(st.lists(st.integers(0, 10**6), min_size=1, max_size=40),
+           st.integers(0, 40), st.randoms(use_true_random=False))
+    def test_batch_equals_per_window_calls(self, mode, idx, split, random):
+        """A window's mask is the same whatever its batch: one call over idx,
+        any order of it and any split of it give the per-window masks."""
+        spec, shape = MaskSpec(mode, 0.25, seed=9), (3, 32)
+        per_window = np.stack([make_mask(spec, shape, 2, w) for w in idx])
+        assert np.array_equal(make_mask(spec, shape, 2, np.array(idx)), per_window)
+        order = list(range(len(idx)))
+        random.shuffle(order)
+        shuffled = make_mask(spec, shape, 2, np.array(idx)[order])
+        assert np.array_equal(shuffled, per_window[order])
+        parts = [make_mask(spec, shape, 2, np.array(idx[:split])),
+                 make_mask(spec, shape, 2, np.array(idx[split:]))]
+        assert np.array_equal(np.concatenate(parts), per_window)
+
+    def test_mask_shape_follows_window(self):
+        spec = MaskSpec("random", 0.25)
+        assert make_mask(spec, (3, 32), 0, 5).shape == (3, 32)
+        assert make_mask(spec, (3, 32), 0, np.arange(6).reshape(2, 3)).shape \
+            == (2, 3, 3, 32)
+
+    def test_channels_of_a_window_differ(self):
+        mask = make_mask(MaskSpec("random", 0.25, seed=1), (16, 96), 0, 0)
+        assert len({row.tobytes() for row in mask}) == 16
+
     def test_mask_deterministic_given_seed(self):
-        a = make_mask(MaskSpec("random", 0.25, seed=11), (2, 32), 3, 5)
-        b = make_mask(MaskSpec("random", 0.25, seed=11), (2, 32), 3, 5)
-        assert np.array_equal(a, b)
-        assert not np.array_equal(
-            a, make_mask(MaskSpec("random", 0.25, seed=11), (2, 32), 3, 6))
+        """Deterministic given (seed, salt, window); changing any one of them
+        changes the mask, in both modes (extended mode has only 49 offsets at
+        L=64, so 8 windows are compared)."""
+        for mode in ("random", "extended"):
+            def masks(seed, salt, first):
+                return make_mask(MaskSpec(mode, 0.25, seed=seed), (2, 64), salt,
+                                 np.arange(first, first + 8))
+            base = masks(11, 3, 0)
+            assert np.array_equal(base, masks(11, 3, 0))
+            for other in (masks(12, 3, 0), masks(11, 4, 0), masks(11, 3, 8)):
+                assert not np.array_equal(base, other)
+
+    def test_seed_beyond_64_bits(self):
+        """Any seed >= 0 works: a big one is mixed 64 bits at a time, so
+        2**70 differs from either of its limbs (0 and 2**6) alone."""
+        L = 96
+        big = make_mask(MaskSpec("random", 0.25, seed=2**70), (2, L), 0, 0)
+        assert np.all((big == 0).sum(axis=1) == 24)
+        for seed in (0, 2**6):
+            assert not np.array_equal(
+                big, make_mask(MaskSpec("random", 0.25, seed=seed), (2, L), 0, 0))
+        ext = make_mask(MaskSpec("extended", 0.25, seed=2**130 + 1), (2, L), 0,
+                        np.arange(4))
+        assert np.all((ext == 0).sum(axis=-1) == 24)
+
+    @pytest.mark.parametrize("seed", [0, 17, 2**70 + 5])
+    def test_keys_match_a_python_int_reference(self, seed):
+        """The uint64 array arithmetic against splitmix64 on Python ints
+        reduced mod 2**64, the seed mixed in 64-bit limbs."""
+        def mix(z):
+            z = (z + 0x9E3779B97F4A7C15) & (2**64 - 1)
+            z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & (2**64 - 1)
+            z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & (2**64 - 1)
+            return z ^ (z >> 31)
+
+        C, L, n, salt, window = 2, 16, 4, 3, 41
+        h = 0
+        for limb in ([seed & (2**64 - 1), seed >> 64] if seed >> 64 else [seed]):
+            h = mix(h ^ limb)
+        key = mix(mix(h ^ salt) ^ window)
+        want = np.ones((C, L))
+        for c in range(C):
+            keys = [mix(key ^ (c * L + t)) for t in range(L)]
+            want[c, np.argsort(keys)[:n]] = 0.0
+        got = make_mask(MaskSpec("random", n / L, seed=seed), (C, L), salt, window)
+        assert np.array_equal(got, want)
+        offset = key % (L - n + 1)
+        ext = make_mask(MaskSpec("extended", n / L, seed=seed), (C, L), salt, window)
+        assert np.array_equal(np.where(ext[0] == 0)[0], np.arange(offset, offset + n))
 
     def test_ratio_concealing_nothing_rejected(self):
         """round(0.01 * 32) = 0 lies within 1/L of the ratio, but conceals
@@ -217,6 +301,13 @@ class TestMasks:
         for mode in ("random", "extended"):
             with pytest.raises(DataError, match="conceals no sample"):
                 make_mask(MaskSpec(mode, 0.01), (1, 32), 0, 0)
+
+    @pytest.mark.parametrize("mode", ["random", "extended"])
+    def test_ratio_concealing_everything_rejected(self, mode):
+        """round(0.996 * 96) = 96: nothing would be left to observe."""
+        with pytest.raises(DataError, match="conceals every sample"):
+            make_mask(MaskSpec(mode, 0.996), (2, 96), 0, 0)
+        assert (make_mask(MaskSpec(mode, 0.99), (2, 96), 0, 0) == 1).sum() == 2
 
     def test_bad_spec_rejected(self):
         """A bad spec fails when it is built, before make_mask can see it."""
