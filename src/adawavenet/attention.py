@@ -32,11 +32,9 @@ def _attend(q, k, v):
 
 
 class AttentionHead:
+    """Built from a checked ModelConfig; AdaWaveNet.forward checks its input."""
     def __init__(self, seq_len: int, d_model: int, heads: int,
                  rng: np.random.Generator):
-        if d_model % heads != 0:
-            raise T.TensorError("d_model must be divisible by the head count")
-        self.seq_len = seq_len
         self.d_model = d_model
         self.heads = heads
 
@@ -64,9 +62,6 @@ class AttentionHead:
 
     def project_approximation(self, x: Tensor) -> Tensor:
         """x: [B, C, seq_len] -> [B, C, seq_len]."""
-        if x.shape[-1] != self.seq_len:
-            raise T.TensorError(
-                f"expected sequences of length {self.seq_len}, got {x.shape[-1]}")
         B, C = x.shape[0], x.shape[1]
         H, dh = self.heads, self.d_model // self.heads
 

@@ -18,7 +18,7 @@ from .config import (ConfigError, ModelConfig, TrainConfig, build, read_text,
                      to_text)
 from .data import (Dataset, DataError, MaskSpec, build_dataset, load_csv,
                    normalize, windows)
-from .metrics import metrics, within_jensen
+from .metrics import metrics
 from .model import AdaWaveNet
 from .svgplot import save_chart
 from .synth import SynthSpec, denoised_target, generate
@@ -45,11 +45,6 @@ class RunResult:
     runtime_s: float
     config_hash: str
     seed: int
-
-    def __post_init__(self):
-        if not (self.mse >= 0 and self.mae >= 0 and within_jensen(self.mse, self.mae)):
-            raise ValueError(f"RunResult: (mse={self.mse}, mae={self.mae}) is not "
-                             f"0 <= MAE <= sqrt(MSE)")
 
 
 def config_hash(model_cfg: ModelConfig, train_cfg: TrainConfig) -> str:
@@ -142,13 +137,9 @@ def cell_mask_spec(cell: dict, seed) -> MaskSpec:
     """The imputation mask of a cell's run keys mask_mode and mask_ratio (the
     MaskSpec defaults where absent), each parsed as a config field's text is;
     a bad value is a ConfigError."""
-    where = f"cell {cell['dataset']}"
-    items = [(where, key, cell[f"mask_{key}"]) for key in ("mode", "ratio")
-             if f"mask_{key}" in cell] + [("seeds", "seed", seed)]
-    try:
-        return build((MaskSpec,), items)[0]
-    except DataError as exc:
-        raise ConfigError(f"{where}: {exc}") from None
+    items = [(f"cell {cell['dataset']}", key, cell[f"mask_{key}"])
+             for key in ("mode", "ratio") if f"mask_{key}" in cell]
+    return build((MaskSpec,), items + [("seeds", "seed", seed)])[0]
 
 
 def run_cell(cell: dict, seed: int, verbose: bool = False) -> RunResult:
@@ -244,8 +235,8 @@ def format_report(results: list[RunResult], skipped: list[str],
 
 def load_manifest(path: str) -> dict:
     """A JSON object whose "cells" are objects, each naming a dataset and
-    listing its seeds; a malformed manifest, cell setting or synthetic family
-    is a ConfigError."""
+    listing its seeds; a malformed manifest is a ConfigError, and so is a bad
+    cell setting or synthetic family, named by its cell."""
     try:
         manifest = json.loads(read_text(path))
     except json.JSONDecodeError as exc:
@@ -257,14 +248,15 @@ def load_manifest(path: str) -> dict:
         raise ConfigError(f"{path}: cells must be objects with a dataset and seeds list")
     for cell in cells:          # settings errors surface before any run
         name = cell["dataset"]
-        if name.startswith("synth:"):
-            try:
+        try:
+            if name.startswith("synth:"):
                 SynthSpec(family=name.split(":", 1)[1])
-            except ConfigError as exc:
-                raise ConfigError(f"cell {name}: {exc}") from None
-        for seed in cell.get("seeds", [0]):
-            cell_configs(cell, seed)
-            cell_mask_spec(cell, seed)
+            for seed in cell.get("seeds", [0]):
+                cell_configs(cell, seed)
+                cell_mask_spec(cell, seed)
+        except ConfigError as exc:      # named once, whichever check raised
+            where = f"cell {name}: "
+            raise ConfigError(where + str(exc).removeprefix(where)) from None
     return manifest
 
 

@@ -48,18 +48,21 @@ def _write_csv(path, names, values):
             writer.writerow([f"{v:.10g}" for v in row])
 
 
-def _load_model(args):
-    """The checkpoint's model and the --data dataset (synthetic data is
-    generated with the checkpoint seed); the data must have the model's
-    channel count."""
-    config, arrays = load_checkpoint(args.checkpoint)
-    model = restore_model(config, arrays)
-    dataset = B.resolve_dataset(args.data, seed=config.seed)
+def _load_checkpoint(args):
+    """The model --checkpoint holds: eval, forecast, impute and superres check
+    their flags against it, then read --data with _load_data."""
+    return restore_model(*load_checkpoint(args.checkpoint))
+
+
+def _load_data(args, model):
+    """The --data dataset (synthetic data is generated with the model's
+    seed), which must have the model's channel count."""
+    dataset = B.resolve_dataset(args.data, seed=model.config.seed)
     channels = dataset.values.shape[0]
     if channels != model.channels:
         raise DataError(f"{args.data} has {channels} channel(s), the checkpoint "
                         f"expects {model.channels}")
-    return model, dataset
+    return dataset
 
 
 def _mask_spec(args, seed):
@@ -68,14 +71,11 @@ def _mask_spec(args, seed):
     items = [(f"--mask-{key}", key, value) for key, value in
              (("mode", args.mask_mode), ("ratio", args.mask_ratio)) if value is not None]
     items.append(("--seed", "seed", seed if args.seed is None else args.seed))
-    try:
-        return build((MaskSpec,), items)[0]
-    except DataError as exc:
-        raise UsageError(str(exc)) from None
+    return build((MaskSpec,), items)[0]
 
 
 def _channel(args, model):
-    """--channel, checked against the model before any file is written."""
+    """--channel, checked against the model before --data is read."""
     if not 0 <= args.channel < model.channels:
         raise UsageError(f"--channel {args.channel} outside [0, {model.channels})")
     return args.channel
@@ -133,15 +133,17 @@ def cmd_train(args):
 
 
 def cmd_eval(args):
-    model, dataset = _load_model(args)
-    mse, mae = evaluate(model, dataset, "test", _mask_spec(args, model.config.seed))
+    model = _load_checkpoint(args)
+    spec = _mask_spec(args, model.config.seed)
+    mse, mae = evaluate(model, _load_data(args, model), "test", spec)
     print(f"task={model.config.task} test MSE={mse:.6f} MAE={mae:.6f}")
     return EXIT_OK
 
 
 def cmd_forecast(args):
-    model, dataset = _load_model(args)
+    model = _load_checkpoint(args)
     ch = _channel(args, model)
+    dataset = _load_data(args, model)
     x, truth, _, pred = _test_window(model, dataset, "forecast", -1)
     os.makedirs(args.out, exist_ok=True)
     _write_csv(os.path.join(args.out, "forecast.csv"), dataset.channel_names, pred)
@@ -152,9 +154,10 @@ def cmd_forecast(args):
 
 
 def cmd_impute(args):
-    model, dataset = _load_model(args)
+    model = _load_checkpoint(args)
     ch = _channel(args, model)
     spec = _mask_spec(args, model.config.seed)
+    dataset = _load_data(args, model)
     _, x, loss_mask, pred = _test_window(model, dataset, "impute", 0, mask_spec=spec)
     mask = 1.0 - loss_mask
     filled = np.where(mask == 1, x, pred)
@@ -174,7 +177,7 @@ def cmd_impute(args):
 
 
 def cmd_superres(args):
-    model, dataset = _load_model(args)
+    model = _load_checkpoint(args)
     ch = _channel(args, model)
     ratio = model.config.sr_ratio if args.ratio is None else args.ratio
     if ratio < 1 or model.config.input_len % ratio:
@@ -182,6 +185,7 @@ def cmd_superres(args):
                   else "--ratio")
         raise UsageError(f"{source} {ratio} must be >= 1 and divide the "
                          f"model's input_len {model.config.input_len}")
+    dataset = _load_data(args, model)
     low_res, x, _, pred = _test_window(model, dataset, "superres", 0,
                                        sr_ratio=ratio)
     os.makedirs(args.out, exist_ok=True)

@@ -9,6 +9,8 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
+from .config import ConfigError
+
 
 class DataError(ValueError):
     pass
@@ -117,18 +119,19 @@ def windows(dataset: Dataset, split: str, input_len: int, pred_len: int, task: s
 @dataclass(frozen=True)
 class MaskSpec:
     """Imputation mask settings; an unknown mode, a ratio outside (0, 1) or a
-    negative seed raises DataError when the spec is built."""
+    negative seed raises ConfigError when the spec is built (a ratio that
+    conceals no or every sample of a window is `make_mask`'s DataError)."""
     mode: str = "random"       # "random" | "extended"
     ratio: float = 0.25
     seed: int = 0
 
     def __post_init__(self):
         if self.mode not in ("random", "extended"):
-            raise DataError(f"unknown mask mode {self.mode!r}")
+            raise ConfigError(f"unknown mask mode {self.mode!r}")
         if not 0.0 < self.ratio < 1.0:
-            raise DataError("mask ratio must lie in (0, 1)")
+            raise ConfigError("mask ratio must lie in (0, 1)")
         if self.seed < 0:
-            raise DataError("mask seed must be >= 0")
+            raise ConfigError("mask seed must be >= 0")
 
 
 _UINT64 = (1 << 64) - 1

@@ -10,7 +10,6 @@ from __future__ import annotations
 import numpy as np
 
 from . import tensor as T
-from .data import DataError
 from .tensor import Tensor
 
 MAX_LLOYD_ITERS = 100
@@ -40,11 +39,9 @@ def kmeans(points: np.ndarray, k: int, seed: int = 0):
 
     Each empty cluster is re-seeded with the point farthest from its
     centroid among those whose cluster keeps another member, so every label
-    is used. A k outside 1..n (more clusters than points) is a DataError.
+    is used. k must lie in 1..n, as `build_model` ensures for its channels.
     """
     n = points.shape[0]
-    if k < 1 or k > n:
-        raise DataError(f"k must be in 1..{n}, got {k}")
     rng = np.random.default_rng(seed)
     centroids = _kmeanspp_seed(points, k, rng)
     assignments = None
@@ -81,7 +78,6 @@ def fit_clustering(trend: np.ndarray, k: int, seed: int = 0) -> np.ndarray:
 class GroupedLinear:
     def __init__(self, assignments: np.ndarray, k: int, in_len: int, out_len: int):
         self.assignments = assignments
-        self.in_len = in_len
         self.weights = Tensor(np.tile(np.eye(in_len, out_len), (k, 1, 1)),
                               requires_grad=True)
         self.biases = Tensor(np.zeros((k, out_len)), requires_grad=True)
@@ -91,8 +87,5 @@ class GroupedLinear:
 
     def project_trend(self, x_trend: Tensor) -> Tensor:
         """x_trend: [..., C, in_len] -> [..., C, out_len] via the cluster's head."""
-        if x_trend.shape[-1] != self.in_len:
-            raise T.TensorError(
-                f"expected trend length {self.in_len}, got {x_trend.shape[-1]}")
         return T.grouped_linear_op(x_trend, self.weights, self.biases,
                                    self.assignments)

@@ -37,9 +37,6 @@ class LiftingLevel:
     """
 
     def __init__(self, channels: int, kernel_size: int):
-        if kernel_size < 1:
-            raise T.TensorError("kernel_size must be >= 1")
-
         def param(shape):
             return Tensor(np.zeros(shape), requires_grad=True)
 
@@ -77,17 +74,15 @@ def lift_inverse(approx: Tensor, detail: Tensor, level: LiftingLevel,
     """One synthesis step: undo the update step, then the predict step.
 
     "tied" correlates with the forward kernels (``depthwise_conv1d``) and is
-    the exact algebraic inverse of lift_forward; "learned" uses the
-    independently trained ``*_t`` kernels with ``depthwise_conv_transpose1d``.
+    the exact algebraic inverse of lift_forward; any other mode is "learned"
+    and uses the trained ``*_t`` kernels with ``depthwise_conv_transpose1d``.
     """
     if mode == "tied":
         conv = T.depthwise_conv1d
         w_u, b_u, w_p, b_p = level.w_u, level.b_u, level.w_p, level.b_p
-    elif mode == "learned":
+    else:
         conv = T.depthwise_conv_transpose1d
         w_u, b_u, w_p, b_p = level.w_u_t, level.b_u_t, level.w_p_t, level.b_p_t
-    else:
-        raise T.TensorError(f"unknown inverse mode {mode!r}")
     even = T.sub(approx, T.tanh(conv(detail, w_u, b_u)))
     odd = T.add(detail, T.tanh(conv(even, w_p, b_p)))
     x = T.interleave(even, odd)
@@ -115,8 +110,8 @@ def check_depth(length: int, n_levels: int):
 
 def analyze(x: Tensor, levels: list[LiftingLevel]):
     """Apply the lifting cascade; returns (approx, details, pad_flags): the
-    final approximation and the per-level detail bands and padding flags."""
-    check_depth(x.shape[-1], len(levels))
+    final approximation and the per-level detail bands and padding flags.
+    `ModelConfig` bounds the depth (see check_depth)."""
     details, flags = [], []
     cur = x
     for level in levels:
@@ -132,10 +127,8 @@ def synthesize(approx: Tensor, details: list[Tensor], pad_flags: list[bool],
     inverse ``mode`` ("tied" or "learned", see lift_inverse).
 
     The approximation may be a prediction replacing the analysis output; the
-    detail bands are reused unchanged.
+    detail bands and padding flags are analyze's, one per level.
     """
-    if len(levels) != len(details):
-        raise T.TensorError("level count does not match the number of detail bands")
     cur = approx
     for level, detail, padded in zip(reversed(levels), reversed(details),
                                      reversed(pad_flags)):

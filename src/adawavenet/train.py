@@ -75,7 +75,7 @@ def build_model(dataset: Dataset, config: ModelConfig) -> AdaWaveNet:
 
 
 def _prepare_batch(task, xs, ys, idx, mask_spec, sr_ratio, mask_salt):
-    """Assemble (input, target, loss_mask) numpy batches for one task."""
+    """Assemble (input, target, loss_mask) numpy batches for one of config.TASKS."""
     x = xs[idx]
     y = ys[idx]
     if task == "forecast":
@@ -83,9 +83,7 @@ def _prepare_batch(task, xs, ys, idx, mask_spec, sr_ratio, mask_salt):
     if task == "impute":
         masks = make_mask(mask_spec, x.shape[1:], mask_salt, idx)
         return x * masks, y, 1.0 - masks
-    if task == "superres":
-        return zoh_upsample(downsample(x, sr_ratio), sr_ratio), y, None
-    raise ValueError(f"unknown task {task!r}")
+    return zoh_upsample(downsample(x, sr_ratio), sr_ratio), y, None
 
 
 def score_split(model: AdaWaveNet, dataset: Dataset, split: str, task: str,

@@ -7,7 +7,7 @@ from pytest import approx
 import adawavenet.tensor as T
 from adawavenet import attention
 from adawavenet.attention import AttentionHead
-from adawavenet.tensor import Tensor, TensorError
+from adawavenet.tensor import Tensor
 
 from conftest import check_grads, passthrough_attention
 
@@ -60,17 +60,6 @@ def test_output_shape_law(rng):
     for batch in (1, 2):
         out = head.project_approximation(Tensor(rng.normal(size=(batch, 5, 6))))
         assert out.shape == (batch, 5, 6)
-
-
-def test_wrong_length_rejected(rng):
-    head = AttentionHead(6, **SIZES, rng=rng)
-    with pytest.raises(TensorError):
-        head.project_approximation(Tensor(rng.normal(size=(1, 5, 7))))
-
-
-def test_heads_must_divide_d_model():
-    with pytest.raises(TensorError):
-        AttentionHead(6, d_model=10, heads=4, rng=np.random.default_rng(0))
 
 
 def test_attention_rows_are_distributions(rng, monkeypatch):

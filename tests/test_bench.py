@@ -68,8 +68,6 @@ class TestMetrics:
         c, n = 30052863.743084725, 104
         mse, mae = metrics(np.full(n, c), np.zeros(n))
         assert (mse, mae) == (approx(c * c, rel=1e-15), approx(c, rel=1e-15))
-        RunResult("forecast", "d", "s", mse=mse, mae=mae, runtime_s=0.0,
-                  config_hash="x", seed=0)
 
     @pytest.mark.parametrize("masked", [False, True])
     def test_score_sums_batches(self, rng, masked):
@@ -123,11 +121,6 @@ class TestBaselines:
 
 
 class TestRunResult:
-    def test_jensen_violation_rejected(self):
-        with pytest.raises(ValueError):
-            RunResult("forecast", "d", "s", mse=1.0, mae=1.5,
-                      runtime_s=0.0, config_hash="x", seed=0)
-
     def test_config_hash_is_stable_and_sensitive(self):
         a = config_hash(ModelConfig(), TrainConfig())
         b = config_hash(ModelConfig(), TrainConfig())
@@ -405,6 +398,24 @@ class TestReportAndManifest:
             {"dataset": "synth:simple", "task": "impute", "seeds": [0]},
             {"dataset": "synth:simple", "task": "impute", "seeds": [0], key: value}]}))
         with pytest.raises(ConfigError, match=f"cell synth:simple: .*{match}"):
+            load_manifest(str(path))
+
+    @pytest.mark.parametrize("dataset,key,value,message", [
+        ("synth:traffic", "levels", 0, "levels must be >= 1"),
+        ("synth:traffic", "levels", "abc", "bad value for 'levels': .*"),
+        ("synth:traffic", "mask_ratio", 1.5, "mask ratio must lie in \\(0, 1\\)"),
+        ("synth:nope", "levels", 2, "unknown family 'nope'")],
+        ids=["range", "parse", "mask", "family"])
+    def test_cell_settings_error_names_its_cell_once(self, tmp_path, dataset, key,
+                                                      value, message):
+        """A bad setting in the second cell names that cell, once, whichever
+        check finds it: the config's range check, the value parser, the mask
+        or the synthetic family."""
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps({"cells": [
+            {"dataset": "synth:simple", "seeds": [0]},
+            {"dataset": dataset, "seeds": [0], key: value}]}))
+        with pytest.raises(ConfigError, match=f"^cell {dataset}: {message}$"):
             load_manifest(str(path))
 
     def test_missing_manifest_rejected(self, tmp_path):

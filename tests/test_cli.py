@@ -153,7 +153,9 @@ class TestTrain:
                                       "max_epochs=0", "levels=abc",
                                       "learning_rate=nan", "learning_rate=inf",
                                       "clip_norm=nan", "clip_norm=-1",
-                                      "clip_norm=inf", "seed=-1"])
+                                      "clip_norm=inf", "seed=-1", "heads=3",
+                                      "inverse_mode=bogus", "task=bogus",
+                                      "ma_window=4"])
     def test_bad_config_value_is_usage_error(self, tmp_path, line, capsys):
         cfg = tmp_path / "bad.txt"
         cfg.write_text(SMALL + line + "\n")
@@ -371,8 +373,9 @@ class TestEvalAndShowcase:
         assert main(["eval", "--data", "synth:simple", "--checkpoint", ckpt]) == EXIT_OK
         assert outputs and all(out._backward is None for out in outputs)
         printed = capsys.readouterr().out
-        model, dataset = cli._load_model(argparse.Namespace(
-            checkpoint=ckpt, data="synth:simple"))
+        args = argparse.Namespace(checkpoint=ckpt, data="synth:simple")
+        model = cli._load_checkpoint(args)
+        dataset = cli._load_data(args, model)
         outputs.clear()
         mse, mae = score_split(model, dataset, "test", "forecast",
                                MaskSpec(seed=model.config.seed), 1)
@@ -422,6 +425,28 @@ class TestEvalAndShowcase:
                     + ([] if command == "eval" else ["--out", str(out)]))
         assert code == EXIT_USAGE
         assert one_line_error(capsys, "usage error: mask ratio")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command,flag,prefix", [
+        ("eval", ["--mask-ratio", "1.5"], "usage error: mask ratio"),
+        ("forecast", ["--channel", "3"], "usage error: --channel 3 "),
+        ("impute", ["--mask-ratio", "1.5"], "usage error: mask ratio"),
+        ("superres", ["--ratio", "5"], "usage error: --ratio 5 ")],
+        ids=["eval", "forecast", "impute", "superres"])
+    def test_bad_flag_is_usage_error_before_data_is_read(
+            self, trained, tmp_path, monkeypatch, command, flag, prefix, capsys):
+        """Flags are checked against the checkpoint alone, so a missing --data
+        file does not turn a bad flag into a data error."""
+        def unread(*args, **kwargs):
+            raise AssertionError("--data was read")
+
+        monkeypatch.setattr(cli.B, "resolve_dataset", unread)
+        out = tmp_path / "o"
+        code = main([command, "--data", str(tmp_path / "missing.csv"),
+                     "--checkpoint", os.path.join(trained, "model.awn")] + flag
+                    + ([] if command == "eval" else ["--out", str(out)]))
+        assert code == EXIT_USAGE
+        assert one_line_error(capsys, prefix)
         assert not out.exists()
 
     def test_superres_ratio_must_divide_input_len(self, tmp_path, capsys):

@@ -6,6 +6,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from pytest import approx
 
+from adawavenet.config import ConfigError
 from adawavenet.data import (DataError, Dataset, MaskSpec, build_dataset,
                              downsample, load_csv, make_mask, windows)
 
@@ -311,15 +312,15 @@ class TestMasks:
 
     def test_bad_spec_rejected(self):
         """A bad spec fails when it is built, before make_mask can see it."""
-        with pytest.raises(DataError):
+        with pytest.raises(ConfigError):
             MaskSpec("diagonal", 0.25)
-        with pytest.raises(DataError):
+        with pytest.raises(ConfigError):
             MaskSpec("random", 0.0)
-        with pytest.raises(DataError):
+        with pytest.raises(ConfigError):
             MaskSpec("random", 1.0)
 
     def test_negative_seed_rejected(self):
-        with pytest.raises(DataError, match="seed"):
+        with pytest.raises(ConfigError, match="seed"):
             MaskSpec(seed=-1)
 
     @settings(max_examples=30, deadline=None)

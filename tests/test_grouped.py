@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 from pytest import approx
 
-from adawavenet.data import DataError
 from adawavenet.grouped import GroupedLinear, fit_clustering, kmeans
 from adawavenet.tensor import Tensor
 
@@ -123,19 +122,8 @@ class TestKMeans:
         a2, c2 = kmeans(points, 3, seed=9)
         assert np.array_equal(a1, a2) and np.array_equal(c1, c2)
 
-    def test_bad_k_rejected(self, rng):
-        points = rng.normal(size=(4, 2))
-        with pytest.raises(DataError):
-            kmeans(points, 0)
-        with pytest.raises(DataError):
-            kmeans(points, 5)
-
 
 class TestFitClustering:
-    def test_k_greater_than_channels_rejected(self, rng):
-        with pytest.raises(DataError):
-            fit_clustering(rng.normal(size=(3, 8)), 4)
-
     def test_identical_shape_channels_share_cluster(self, rng):
         base = rng.normal(size=(1, 16))
         trend = np.concatenate([base, 5 * base, base + 2,

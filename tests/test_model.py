@@ -173,6 +173,18 @@ class TestConfig:
         with pytest.raises(ConfigError):
             ModelConfig(levels=6, input_len=96, pred_len=96)
 
+    def test_heads_must_divide_d_model(self):
+        """The attention head splits d_model evenly and does not check it."""
+        with pytest.raises(ConfigError, match="heads must be >= 1 and divide d_model"):
+            ModelConfig(d_model=10, heads=4)
+
+    @pytest.mark.parametrize("field,message", [("inverse_mode", "unknown inverse mode"),
+                                               ("task", "unknown task")])
+    def test_unknown_mode_rejected(self, field, message):
+        """lift_inverse and _prepare_batch read any other value as the last mode."""
+        with pytest.raises(ConfigError, match=f"{message} 'bogus'"):
+            ModelConfig(**{field: "bogus"})
+
     @pytest.mark.parametrize("field", ["levels", "kernel_size", "n_clusters",
                                        "sr_ratio"])
     def test_sizes_below_one_rejected(self, field):
@@ -215,7 +227,7 @@ class TestConfig:
     @pytest.mark.parametrize("cls,field,bad,error", [
         (ModelConfig, "levels", 0, ConfigError),
         (TrainConfig, "batch_size", 0, ConfigError),
-        (MaskSpec, "ratio", 1.0, DataError),
+        (MaskSpec, "ratio", 1.0, ConfigError),
         (SynthSpec, "n_points", 1, ConfigError),
     ])
     def test_settings_are_frozen_and_checked_when_built(self, cls, field, bad,

@@ -9,7 +9,7 @@ from pytest import approx
 import adawavenet.tensor as T
 from adawavenet.baselines import LinearBaseline
 from adawavenet.config import ModelConfig, TrainConfig
-from adawavenet.data import MaskSpec, build_dataset, windows
+from adawavenet.data import DataError, MaskSpec, build_dataset, windows
 from adawavenet.decompose import decompose
 from adawavenet.grouped import kmeans
 from adawavenet.model import AdaWaveNet
@@ -278,6 +278,11 @@ class TestBuildModel:
         assert model.config.n_clusters == 2
         assert assignments.shape == (4,)
         assert set(assignments.tolist()) <= {0, 1}
+
+    def test_more_clusters_than_channels_is_data_error(self, rng):
+        """k-means does not check k against the channel count; build_model does."""
+        with pytest.raises(DataError, match="n_clusters=3 exceeds the data's 2 channel"):
+            build_model(tiny_dataset(rng), tiny_config(n_clusters=3))
 
     def test_single_cluster_skips_fit(self, rng):
         ds = tiny_dataset(rng)
