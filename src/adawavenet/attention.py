@@ -6,12 +6,10 @@ an affine target projection maps each token back to sequence space. No
 positional encoding is used, so the layer is permutation-equivariant over
 channels.
 
-The scores grow as C², so the core softmax(q kᵀ) v runs through
-`tensor.blockwise` in blocks of batch rows whose [rows, H, C, C] scores fit
-in `BLOCK_BYTES`: its intermediates hold one score block, not the batch.
-Each block runs the GEMMs and row reductions the batch would, so results
-and gradients are bitwise unchanged. When the whole batch fits, as at C=7
-or at B=1, it is one block and one call.
+The scores grow as C², so the core softmax(q kᵀ) v is one `tensor.attention`
+op that runs the B·H [C, C] score matrices in blocks whose scores fit in
+`BLOCK_BYTES`: its temporaries hold one score block, not the batch, and its
+graph keeps only the attention weights.
 """
 from __future__ import annotations
 
@@ -20,15 +18,8 @@ import numpy as np
 from . import tensor as T
 from .tensor import Tensor
 
-# the float64 [rows, H, C, C] scores of one attention block stay within this
-BLOCK_BYTES = 4 << 20
-
-
-def _attend(q, k, v):
-    """softmax(q kᵀ) v over [B, H, C, dh] queries, keys and values."""
-    scores = T.matmul(q, T.transpose(k, (0, 1, 3, 2)))
-    weights = T.softmax(scores, axis=-1)                         # [B, H, C, C]
-    return T.matmul(weights, v)                                  # [B, H, C, dh]
+# the float64 scores of one attention block stay within this
+BLOCK_BYTES = 1 << 20
 
 
 class AttentionHead:
@@ -76,8 +67,8 @@ class AttentionHead:
         def heads_view(t):   # [B, C, d] -> [B, H, C, dh]
             return T.transpose(T.reshape(t, (B, C, H, dh)), (0, 2, 1, 3))
 
-        rows = max(1, BLOCK_BYTES // (8 * H * C * C))
-        mixed = T.blockwise(_attend, (heads_view(q), heads_view(k), heads_view(v)),
+        rows = max(1, BLOCK_BYTES // (8 * C * C))
+        mixed = T.attention(heads_view(q), heads_view(k), heads_view(v),
                             rows)                                # [B, H, C, dh]
         mixed = T.reshape(T.transpose(mixed, (0, 2, 1, 3)), (B, C, self.d_model))
         tokens = T.add(tokens, T.matmul(mixed, self.w_out))      # residual

@@ -37,7 +37,6 @@ class Tensor:
         self.grad = None
         self._parents = ()
         self._backward = None
-        self._consumed = False
 
     # -- basic introspection -------------------------------------------------
     @property
@@ -82,24 +81,18 @@ class Tensor:
 
     def backward(self):
         """Accumulate d(self)/d(leaf) into ``.grad`` of every leaf that
-        requires grad; intermediate nodes keep ``grad`` None."""
+        requires grad; intermediate nodes keep ``grad`` None. The walk frees
+        the graph as it goes: a node whose closure has run drops its parents
+        and its closure (now `_spent`), so reference counting frees what
+        nothing else holds. A node's ``data`` is left alone."""
         if self.size != 1:
             raise TensorError("backward requires a scalar loss")
-        self._backprop(np.ones_like(self.data))
-
-    def _backprop(self, seed):
-        """`backward` from a gradient ``seed`` of this tensor's shape; a
-        `blockwise` node seeds each block's graph with that block's slice of
-        its output gradient."""
-        if seed.shape != self.shape:
-            raise TensorError(
-                f"gradient seed of shape {seed.shape} for a tensor of shape {self.shape}")
-        tape = self.build_tape()
-        for node in tape.nodes:
-            if node._consumed:
-                raise TensorError("backward called twice on a consumed tape")
-        grads = {id(self): seed}
-        for node in reversed(tape.nodes):
+        tape = self.build_tape().nodes
+        if any(node._backward is _spent for node in tape):
+            _spent(None)
+        grads = {id(self): np.ones_like(self.data)}
+        while tape:
+            node = tape.pop()
             g = grads.pop(id(node), None)
             if g is None:
                 continue
@@ -107,12 +100,17 @@ class Tensor:
                 if node.requires_grad:
                     node.grad = g if node.grad is None else node.grad + g
                 continue
-            node._consumed = True
             for parent, pg in zip(node._parents, node._backward(g)):
                 if pg is None or not parent.requires_grad:
                     continue
                 key = id(parent)
                 grads[key] = pg if key not in grads else grads[key] + pg
+            node._parents, node._backward = (), _spent
+
+
+def _spent(g):
+    """The closure of a node whose backward has run."""
+    raise TensorError("backward called twice on a consumed tape")
 
 
 _recording = True   # False inside no_grad
@@ -559,43 +557,52 @@ def layer_norm(x, scale, shift):
     return _make(out, (x, scale, shift), backward)
 
 
-# -- blocks ------------------------------------------------------------------
+# -- attention ---------------------------------------------------------------
 
-def blockwise(fn, inputs, rows):
-    """``fn(*inputs)`` run on blocks of ``rows`` entries along axis 0 of every
-    input, each block a graph of its own, joined along axis 0 in one node.
-
-    ``fn`` must treat the entries of axis 0 independently. Its temporaries
-    then hold one block, not the batch, and the result and gradients equal
-    one call's bit for bit wherever each of its ops computes an entry the
-    same way at any batch size; an input that no block's graph reaches gets
-    no gradient. With ``rows`` at least the length of axis 0 this is one
-    call of ``fn``.
-    """
-    n = inputs[0].shape[0]
-    if rows < 1 or any(t.shape[0] != n for t in inputs):
-        raise TensorError("blockwise needs rows >= 1 and inputs of one length on axis 0")
-    if rows >= n:
-        return fn(*inputs)
+def attention(q, k, v, rows):
+    """softmax(q kᵀ) v for q, k [N..., C, d] and v [N..., C, dv]: one [C, C]
+    score matrix per index of the leading axes N, run in blocks of at most
+    ``rows`` of them, each a view of the inputs (`_boxes`). A block's scores
+    go through `softmax` and are dropped: the temporaries hold one block, and
+    the graph keeps only each block's weights and softmax closure. A block
+    runs the GEMMs of ``softmax(q @ kᵀ) @ v`` in the operand order of those
+    ops, so with ``rows`` at least the matrix count it is those ops."""
+    lead = q.shape[:-2]
+    record = _recording and any(t.requires_grad for t in (q, k, v))
+    out = np.empty(q.shape[:-1] + v.shape[-1:])
     blocks = []
-    for start in range(0, n, rows):
-        part = slice(start, start + rows)
-        leaves = tuple(Tensor(t.data[part], requires_grad=t.requires_grad)
-                       for t in inputs)
-        blocks.append((part, leaves, fn(*leaves)))
+    for at in _boxes(lead, rows):
+        scores = q.data[at] @ np.swapaxes(k.data[at], -1, -2)
+        weights = softmax(Tensor(scores, record), axis=-1)
+        np.matmul(weights.data, v.data[at], out=out[at])
+        if record:
+            blocks.append((at, weights.data, weights._backward))
 
     def backward(g):
-        grads = [None] * len(inputs)
-        for part, leaves, out in blocks:
-            out._backprop(g[part])
-            for i, leaf in enumerate(leaves):
-                if leaf.grad is None:
-                    continue
-                if grads[i] is None:
-                    # in the memory order of a block's gradient, which one
-                    # call's gradient has too, so the ops below round alike
-                    grads[i] = np.zeros_like(leaf.grad, shape=inputs[i].shape)
-                grads[i][part] = leaf.grad
-        return grads
+        gq, gv = (np.empty(t.shape) if t.requires_grad else None for t in (q, v))
+        # the gradient of kᵀ, transposed on return as the composed ops'
+        # gradient is, so that the ops below it round alike
+        gkt = np.empty(lead + k.shape[:-3:-1]) if k.requires_grad else None
+        for at, w, softmax_backward in blocks:
+            gb = g[at]
+            if gv is not None:
+                np.matmul(np.swapaxes(w, -1, -2), gb, out=gv[at])
+            (gs,) = softmax_backward(gb @ np.swapaxes(v.data[at], -1, -2))
+            if gq is not None:
+                np.matmul(gs, k.data[at], out=gq[at])
+            if gkt is not None:
+                np.matmul(np.swapaxes(q.data[at], -1, -2), gs, out=gkt[at])
+        return gq, None if gkt is None else np.swapaxes(gkt, -1, -2), gv
 
-    return _make(np.concatenate([out.data for _, _, out in blocks]), inputs, backward)
+    return _make(out, (q, k, v), backward)
+
+
+def _boxes(lead, rows):
+    """Basic indices that cut the leading axes ``lead``, in order, into boxes
+    of at most ``rows`` entries: runs of whole sub-arrays along the first
+    axis, or, if a sub-array has more entries, the boxes of each in turn."""
+    inner = math.prod(lead[1:])
+    if rows >= inner:
+        step = rows // inner
+        return [(slice(s, s + step),) for s in range(0, lead[0], step)]
+    return [(i,) + box for i in range(lead[0]) for box in _boxes(lead[1:], rows)]

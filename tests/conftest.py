@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import adawavenet.tensor as T
 from adawavenet.tensor import Tensor
 
 
@@ -32,6 +33,14 @@ def passthrough_attention(head):
     for p in (head.w_q, head.w_k, head.w_v, head.w_out):
         p.data[...] = 0.0
     return head
+
+
+def composed_attention(q, k, v):
+    """softmax(q kᵀ) v over q, k, v [..., C, d] from the matmul, softmax and
+    matmul ops: the reference of `tensor.attention`."""
+    axes = tuple(range(q.ndim - 2)) + (q.ndim - 1, q.ndim - 2)
+    weights = T.softmax(T.matmul(q, T.transpose(k, axes)), axis=-1)
+    return T.matmul(weights, v)
 
 
 def finite_difference_grads(fn, arrays, eps=1e-5):

@@ -9,7 +9,7 @@ from adawavenet import attention
 from adawavenet.attention import AttentionHead
 from adawavenet.tensor import Tensor
 
-from conftest import check_grads, passthrough_attention
+from conftest import check_grads, composed_attention, passthrough_attention
 
 SIZES = {"d_model": 128, "heads": 4}   # the ModelConfig defaults
 
@@ -127,40 +127,65 @@ def loss_and_gradients(head, x, target):
     return loss.data, xt.grad, {k: p.grad for k, p in head.parameters().items()}
 
 
-def block_bytes_for(rows, head, channels):
-    """The BLOCK_BYTES that puts ``rows`` batch entries in each block."""
-    return rows * 8 * head.heads * channels * channels
+def block_bytes_for(rows, channels):
+    """The BLOCK_BYTES that puts ``rows`` score matrices in each block."""
+    return rows * 8 * channels * channels
 
 
-@pytest.mark.parametrize("rows", [1, 2])
-def test_scores_take_one_block_and_results_are_bitwise_unchanged(rng, monkeypatch, rows):
+@pytest.mark.parametrize("rows,blocks", [
+    (1, [(1, 4, 4)] * 20),
+    (2, [(2, 4, 4)] * 10),
+    (3, [(3, 4, 4), (1, 4, 4)] * 5),              # a window's heads cut apart
+    (8, [(2, 4, 4, 4)] * 2 + [(1, 4, 4, 4)]),     # runs of whole windows
+], ids=["1", "2", "3", "8"])
+def test_scores_take_one_block_and_results_are_bitwise_unchanged(rng, monkeypatch,
+                                                                 rows, blocks):
     head = AttentionHead(6, **SIZES, rng=rng)
     x, target = rng.normal(size=(5, 4, 6)), rng.normal(size=(5, 4, 6))
     shapes = softmax_shapes(monkeypatch)
     want = loss_and_gradients(head, x, target)
-    assert shapes == [(5, head.heads, 4, 4)]        # one call for the batch
+    assert shapes == [(5, head.heads, 4, 4)]        # one block for the batch
     shapes.clear()
-    monkeypatch.setattr(attention, "BLOCK_BYTES", block_bytes_for(rows, head, 4))
+    monkeypatch.setattr(attention, "BLOCK_BYTES", block_bytes_for(rows, 4))
     got = loss_and_gradients(head, x, target)
-    assert shapes == [(min(rows, 5 - s), head.heads, 4, 4) for s in range(0, 5, rows)]
+    assert shapes == blocks
+    assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+    for name in want[2]:
+        assert np.array_equal(got[2][name], want[2][name]), name
+
+
+@pytest.mark.parametrize("batch,channels", [(16, 7), (5, 4)])
+def test_head_is_bitwise_the_head_with_composed_ops(rng, monkeypatch, batch, channels):
+    """Every gradient of the head, not only those of q, k and v: the op
+    hands its gradients on in the memory layout the composed ops do, so the
+    GEMMs below round alike."""
+    head = AttentionHead(12, **SIZES, rng=rng)
+    x, target = (rng.normal(size=(batch, channels, 12)) for _ in range(2))
+    got = loss_and_gradients(head, x, target)
+    monkeypatch.setattr(T, "attention", lambda q, k, v, rows: composed_attention(q, k, v))
+    want = loss_and_gradients(head, x, target)
     assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
     for name in want[2]:
         assert np.array_equal(got[2][name], want[2][name]), name
 
 
 @pytest.mark.parametrize("batch", [1, 2])
-def test_wide_batch_splits_and_single_window_is_one_block(rng, monkeypatch, batch):
-    """At Electricity's 321 channels one window's scores fit BLOCK_BYTES, so
-    B=1 runs one softmax over [1, H, C, C] and B=2 runs one per window."""
+def test_wide_batch_runs_one_head_of_one_window_per_block(rng, monkeypatch, batch):
+    """At Electricity's 321 channels two score matrices exceed BLOCK_BYTES,
+    so each block is one head of one window, while at 7 channels the whole
+    batch is one block."""
     head = AttentionHead(12, **SIZES, rng=rng)
     shapes = softmax_shapes(monkeypatch)
     head.project_approximation(Tensor(rng.normal(size=(batch, 321, 12))))
-    assert shapes == [(1, head.heads, 321, 321)] * batch
+    assert shapes == [(1, 321, 321)] * (batch * head.heads)
+    shapes.clear()
+    head.project_approximation(Tensor(rng.normal(size=(64, 7, 12))))
+    assert shapes == [(64, head.heads, 7, 7)]
 
 
 def test_blocked_gradients_match_finite_differences(rng, monkeypatch):
     head = AttentionHead(6, d_model=8, heads=2, rng=rng)
-    monkeypatch.setattr(attention, "BLOCK_BYTES", block_bytes_for(1, head, 4))
+    monkeypatch.setattr(attention, "BLOCK_BYTES", block_bytes_for(1, 4))
     shapes = softmax_shapes(monkeypatch)
     target = rng.normal(size=(3, 4, 6))
 
@@ -170,4 +195,4 @@ def test_blocked_gradients_match_finite_differences(rng, monkeypatch):
 
     check_grads(loss, [rng.normal(size=(3, 4, 6)), head.w_q.data.copy(),
                        head.w_k.data.copy(), head.w_v.data.copy()])
-    assert set(shapes) == {(1, 2, 4, 4)}
+    assert set(shapes) == {(1, 4, 4)}

@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import FrozenInstanceError, fields, replace
 from pathlib import Path
 
@@ -151,6 +152,27 @@ class TestForward:
         assert want._backward is not None
         assert np.array_equal(got.data, want.data)
         assert got._parents == () and got._backward is None
+
+    def test_backward_frees_the_graph_as_it_goes(self, rng):
+        """During one training step of a wide default model (C=64, B=4) the
+        backward pass allocates less than a tenth of the forward graph's
+        bytes beyond what the graph held when it began: the graph's arrays
+        are released as the walk passes them. Keeping the whole graph until
+        the loss is dropped read 0.228 here, freeing it 0.038."""
+        model = AdaWaveNet(ModelConfig(), channels=64)
+        x, y = (Tensor(rng.normal(size=(4, 64, 96))) for _ in range(2))
+        tracemalloc.start()
+        try:
+            loss = T.mse(model.forward(x), y)
+            graph = sum(n.data.nbytes for n in loss.build_tape().nodes)
+            start, _ = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            loss.backward()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert (peak - start) < 0.1 * graph
+        assert all(p.grad is not None for p in model.parameters().values())
 
     def test_forward_deterministic(self, rng):
         model = AdaWaveNet(small_config(), channels=2)

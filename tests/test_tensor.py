@@ -8,7 +8,7 @@ from pytest import approx
 import adawavenet.tensor as T
 from adawavenet.tensor import Tensor, TensorError
 
-from conftest import check_grads
+from conftest import check_grads, composed_attention
 
 
 def conv1d_oracle(x, w, b):
@@ -109,17 +109,6 @@ class TestBackward:
         with pytest.raises(TensorError, match="backward requires a scalar loss"):
             T.add(x, x).backward()
 
-    def test_backprop_seeds_a_non_scalar(self, rng):
-        x = Tensor(rng.normal(size=(2, 3)), requires_grad=True)
-        g = rng.normal(size=(2, 3))
-        T.tanh(x)._backprop(g)
-        assert np.array_equal(x.grad, g * (1.0 - np.tanh(x.data) ** 2))
-
-    def test_backprop_seed_of_another_shape_rejected(self):
-        x = Tensor(np.zeros((2, 3)), requires_grad=True)
-        with pytest.raises(TensorError, match="seed of shape"):
-            T.tanh(x)._backprop(np.ones((3, 2)))
-
     def test_backward_twice_rejected(self):
         x = Tensor([1.0, 2.0], requires_grad=True)
         loss = T.mse(x, Tensor([0.0, 0.0]))
@@ -165,9 +154,9 @@ class TestBackward:
             x = Tensor(rng.normal(size=(2, 8)), requires_grad=True)
             w = Tensor(rng.normal(size=(2, 3)), requires_grad=True)
             pred = T.tanh(T.depthwise_conv1d(x, w, Tensor(np.zeros(2))))
+            inner = pred._parents[0]
             loss = T.mse(pred, Tensor(np.zeros((2, 8))))
             loss.backward()
-            inner = pred._parents[0]
             assert x.grad is not None and w.grad is not None
             assert pred.grad is None and inner.grad is None and loss.grad is None
             ref = weakref.ref(inner)
@@ -175,6 +164,42 @@ class TestBackward:
             assert ref() is None
         finally:
             gc.enable()
+
+    def test_interior_node_freed_while_backward_runs(self, rng):
+        """Once the walk has passed a node that only the graph holds, the
+        node is gone before the closures nearer the leaves run."""
+        seen = []
+
+        def graph():
+            x = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
+            # a probe op on the leaf side: its closure records whether
+            # `interior` is still alive and passes the gradient on
+            first = T._make(x.data.copy(), (x,), lambda g: (seen.append(ref()) or g,))
+            interior = T.tanh(first)
+            ref = weakref.ref(interior)
+            return x, T.tsum(T.mul(interior, interior)), ref
+
+        gc.disable()
+        try:
+            x, loss, ref = graph()
+            assert ref() is not None
+            loss.backward()
+        finally:
+            gc.enable()
+        assert seen == [None]
+        assert x.grad is not None
+
+    def test_backward_through_a_consumed_node_changes_no_grad(self, rng):
+        x = Tensor(rng.normal(size=(2, 3)), requires_grad=True)
+        w = Tensor(rng.normal(size=(2, 3)), requires_grad=True)
+        y = T.tanh(x)
+        T.tsum(y).backward()
+        before = x.grad.copy()
+        with pytest.raises(TensorError, match="consumed"):
+            T.tsum(T.mul(y, w)).backward()
+        assert np.array_equal(x.grad, before) and w.grad is None
+        with pytest.raises(TensorError, match="consumed"):
+            y._backward(np.ones(y.shape))
 
 
 class TestGradChecks:
@@ -715,74 +740,78 @@ class TestNoGrad:
         assert T.matmul(w, w)._backward is not None
 
 
-def _rows_independent(a, b, c, d):
-    """Scores, softmax and mix over [n, t, m], each entry of axis 0 alone."""
-    weights = T.softmax(T.matmul(a, T.transpose(b, (0, 2, 1))), axis=-1)
-    return T.add(T.matmul(weights, c), d)
-
-
-class TestBlockwise:
-    """`blockwise` against one call of the same function."""
+class TestAttention:
+    """`attention` against the composed ops, over a [2, 3] grid of score
+    matrices."""
 
     @staticmethod
-    def inputs(rng):
-        """Three inputs that require grad and a constant fourth one."""
-        shapes = [(5, 3, 4), (5, 3, 4), (5, 3, 2), (5, 3, 2)]
-        return [Tensor(rng.normal(size=s), requires_grad=i < 3)
-                for i, s in enumerate(shapes)]
+    def inputs(rng, requires_grad=(True, True, True)):
+        """q, k [2, 3, 5, 4] and v [2, 3, 5, 2] as transposed views, the
+        layout `AttentionHead` passes."""
+        shapes = [(2, 5, 3, 4), (2, 5, 3, 4), (2, 5, 3, 2)]
+        return [T.transpose(Tensor(rng.normal(size=s), requires_grad=r), (0, 2, 1, 3))
+                for s, r in zip(shapes, requires_grad)]
 
-    @pytest.mark.parametrize("rows", [1, 2, 5])
-    def test_bitwise_equal_to_one_call(self, rng, rows):
-        blocked = self.inputs(rng)
-        whole = [Tensor(t.data, requires_grad=t.requires_grad) for t in blocked]
-        weight = Tensor(rng.normal(size=(5, 3, 2)))
-        sizes = []
+    @pytest.mark.parametrize("rows", [1, 2, 4, 6, 50])
+    def test_matches_the_composed_ops(self, rng, rows):
+        state = rng.bit_generator.state
+        got_in = self.inputs(rng)
+        rng.bit_generator.state = state
+        want_in = self.inputs(rng)
+        leaves = [[t._parents[0] for t in ins] for ins in (got_in, want_in)]
+        weight = rng.normal(size=(2, 3, 5, 2))
+        got = T.attention(*got_in, rows)
+        want = composed_attention(*want_in)
+        T.tsum(T.mul(got, Tensor(weight))).backward()
+        T.tsum(T.mul(want, Tensor(weight))).backward()
+        pairs = [(got.data, want.data)] + [(a.grad, b.grad) for a, b in zip(*leaves)]
+        for a, b in pairs:
+            if rows >= 6:
+                assert np.array_equal(a, b)
+            assert np.abs(a - b).max() <= 1e-12 * np.abs(b).max()
 
-        def fn(*block):
-            sizes.append(block[0].shape[0])
-            return _rows_independent(*block)
+    @pytest.mark.parametrize("rows", [1, 2, 6])
+    def test_gradients_match_finite_differences(self, rng, rows):
+        target = rng.normal(size=(2, 3, 5, 2))
+        check_grads(lambda q, k, v: T.mse(T.attention(q, k, v, rows), Tensor(target)),
+                    [rng.normal(size=(2, 3, 5, 4)), rng.normal(size=(2, 3, 5, 4)),
+                     rng.normal(size=(2, 3, 5, 2))])
 
-        got = T.blockwise(fn, blocked, rows)
-        want = _rows_independent(*whole)
-        T.tsum(T.mul(got, weight)).backward()
-        T.tsum(T.mul(want, weight)).backward()
-        assert sizes == [min(rows, 5 - s) for s in range(0, 5, rows)]
-        assert np.array_equal(got.data, want.data)
-        for b, w in zip(blocked[:3], whole[:3]):
-            assert np.array_equal(b.grad, w.grad)
-        assert blocked[3].grad is None
+    @pytest.mark.parametrize("rows,shapes", [
+        (1, [(1, 5, 5)] * 6),
+        (2, [(2, 5, 5), (1, 5, 5)] * 2),
+        (4, [(1, 3, 5, 5)] * 2),
+        (6, [(2, 3, 5, 5)]),
+    ], ids=["1", "2", "4", "6"])
+    def test_keeps_a_weights_block_only_while_recording(self, rng, monkeypatch,
+                                                        rows, shapes):
+        """Each softmax output is a block of at most ``rows`` [C, C] weights;
+        the graph holds it, and under `no_grad` nothing does."""
+        blocks = []
+        softmax_op = T.softmax
 
-    def test_backward_gives_none_to_a_constant_input(self, rng):
-        inputs = self.inputs(rng)
-        out = T.blockwise(_rows_independent, inputs, 2)
-        grads = out._backward(np.ones(out.shape))
-        assert [g is None for g in grads] == [False, False, False, True]
-        assert [g.shape for g in grads[:3]] == [t.shape for t in inputs[:3]]
+        def softmax(a, axis=-1):
+            out = softmax_op(a, axis=axis)
+            blocks.append(weakref.ref(out.data))
+            return out
 
-    def test_an_input_that_fn_ignores_gets_no_gradient(self, rng):
-        """As in one call: no block's graph reaches it."""
-        a, b = (Tensor(rng.normal(size=(3, 2)), requires_grad=True) for _ in range(2))
-        T.tsum(T.blockwise(lambda a, b: T.tanh(a), (a, b), 2)).backward()
-        assert b.grad is None
-        assert np.array_equal(a.grad, 1.0 - np.tanh(a.data) ** 2)
-
-    def test_no_grad_records_nothing(self, rng):
+        monkeypatch.setattr(T, "softmax", softmax)
         inputs = self.inputs(rng)
         with T.no_grad():
-            got = T.blockwise(_rows_independent, inputs, 2)
-        assert got._parents == () and got._backward is None
-        assert not got.requires_grad
-        assert np.array_equal(got.data, _rows_independent(*inputs).data)
+            got = T.attention(*inputs, rows)
+        assert got._backward is None and got._parents == ()
+        assert len(blocks) == len(shapes)
+        assert all(ref() is None for ref in blocks)
+        blocks.clear()
+        out = T.attention(*inputs, rows)
+        assert [ref().shape for ref in blocks] == shapes
+        assert np.array_equal(out.data, got.data)
 
-    def test_backward_twice_rejected(self, rng):
-        loss = T.tsum(T.blockwise(_rows_independent, self.inputs(rng), 2))
-        loss.backward()
-        with pytest.raises(TensorError):
-            loss.backward()
-
-    @pytest.mark.parametrize("rows,n_d", [(0, 5), (2, 4)])
-    def test_rejects_empty_blocks_and_unequal_lengths(self, rng, rows, n_d):
-        inputs = self.inputs(rng)
-        inputs[3] = Tensor(rng.normal(size=(n_d, 3, 2)))
-        with pytest.raises(TensorError):
-            T.blockwise(_rows_independent, inputs, rows)
+    @pytest.mark.parametrize("constant", [0, 1, 2])
+    def test_an_input_that_requires_no_grad_gets_none(self, rng, constant):
+        flags = [i != constant for i in range(3)]
+        inputs = self.inputs(rng, flags)
+        out = T.attention(*inputs, 2)
+        grads = out._backward(np.ones(out.shape))
+        assert [g is None for g in grads] == [not f for f in flags]
+        assert all(g.shape == t.shape for g, t in zip(grads, inputs) if g is not None)
