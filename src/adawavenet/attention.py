@@ -9,7 +9,7 @@ channels.
 The scores grow as C², so the core softmax(q kᵀ) v is one `tensor.attention`
 op that runs the B·H [C, C] score matrices in blocks whose scores fit in
 `BLOCK_BYTES`: its temporaries hold one score block, not the batch, and its
-graph keeps only the attention weights.
+graph keeps no [C, C] array, as the backward recomputes each block's weights.
 """
 from __future__ import annotations
 

@@ -10,7 +10,7 @@ import functools
 import math
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided
 
 NORM_EPS = 1e-8     # variance floor of layer_norm and of RevIN
 
@@ -234,9 +234,8 @@ def mse(pred, target, mask=None):
         if denom == 0:
             raise TensorError("mse mask is empty")
     else:
-        m = np.ones_like(diff)
-        denom = m.size
-    val = (m * diff * diff).sum() / denom
+        m, denom = 1.0, diff.size
+    val = (diff * diff if mask is None else m * diff * diff).sum() / denom
 
     def backward(g):
         gp = g * 2.0 * m * diff / denom
@@ -262,7 +261,11 @@ def matmul(a, b):
             gb = _unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.shape)
         return ga, gb
 
-    return _make(a.data @ b.data, (a, b), backward)
+    if b.data.ndim == 2:   # one GEMM, not one per leading index of a
+        out = (a.data.reshape(-1, a.shape[-1]) @ b.data).reshape(a.shape[:-1] + b.shape[1:])
+    else:
+        out = a.data @ b.data
+    return _make(out, (a, b), backward)
 
 
 # -- shape manipulation ------------------------------------------------------
@@ -365,11 +368,11 @@ def _window_product(a, kernels, flip):
 
 
 def _windows(a, K, pl, pr):
-    """[N, C, L, K] sliding windows of a[..., C, L] zero-padded by (pl, pr)."""
+    """Read-only [N, C, L, K] sliding windows of a[..., C, L] zero-padded by (pl, pr)."""
     a = a.reshape((-1,) + a.shape[-2:])
     ap = np.zeros(a.shape[:-1] + (a.shape[-1] + pl + pr,))
     ap[..., pl:pl + a.shape[-1]] = a
-    return sliding_window_view(ap, K, axis=-1)
+    return as_strided(ap, a.shape + (K,), ap.strides + ap.strides[-1:], writeable=False)
 
 
 def _band_product(a, kernels, flip):
@@ -563,31 +566,36 @@ def attention(q, k, v, rows):
     """softmax(q kᵀ) v for q, k [N..., C, d] and v [N..., C, dv]: one [C, C]
     score matrix per index of the leading axes N, run in blocks of at most
     ``rows`` of them, each a view of the inputs (`_boxes`). A block's scores
-    go through `softmax` and are dropped: the temporaries hold one block, and
-    the graph keeps only each block's weights and softmax closure. A block
-    runs the GEMMs of ``softmax(q @ kᵀ) @ v`` in the operand order of those
-    ops, so with ``rows`` at least the matrix count it is those ops."""
+    go through `softmax` and are dropped: the graph keeps no [C, C] array,
+    and the backward recomputes each block's weights, bitwise, by the same
+    GEMM. A block runs the GEMMs of ``softmax(q @ kᵀ) @ v`` in those ops'
+    operand order; with ``rows`` at least the matrix count it is those ops."""
     lead = q.shape[:-2]
-    record = _recording and any(t.requires_grad for t in (q, k, v))
+    boxes = _boxes(lead, rows)
     out = np.empty(q.shape[:-1] + v.shape[-1:])
-    blocks = []
-    for at in _boxes(lead, rows):
+
+    def weights(at, record):   # the block's softmax(q kᵀ), with its closure if record
+        global _recording   # the recompute records also in a backward under no_grad
         scores = q.data[at] @ np.swapaxes(k.data[at], -1, -2)
-        weights = softmax(Tensor(scores, record), axis=-1)
-        np.matmul(weights.data, v.data[at], out=out[at])
-        if record:
-            blocks.append((at, weights.data, weights._backward))
+        saved, _recording = _recording, record
+        try:
+            return softmax(Tensor(scores, record), axis=-1)
+        finally:
+            _recording = saved
+
+    for at in boxes:
+        np.matmul(weights(at, False).data, v.data[at], out=out[at])
 
     def backward(g):
         gq, gv = (np.empty(t.shape) if t.requires_grad else None for t in (q, v))
         # the gradient of kᵀ, transposed on return as the composed ops'
         # gradient is, so that the ops below it round alike
         gkt = np.empty(lead + k.shape[:-3:-1]) if k.requires_grad else None
-        for at, w, softmax_backward in blocks:
-            gb = g[at]
+        for at in boxes:
+            block, gb = weights(at, True), g[at]
             if gv is not None:
-                np.matmul(np.swapaxes(w, -1, -2), gb, out=gv[at])
-            (gs,) = softmax_backward(gb @ np.swapaxes(v.data[at], -1, -2))
+                np.matmul(np.swapaxes(block.data, -1, -2), gb, out=gv[at])
+            (gs,) = block._backward(gb @ np.swapaxes(v.data[at], -1, -2))
             if gq is not None:
                 np.matmul(gs, k.data[at], out=gq[at])
             if gkt is not None:

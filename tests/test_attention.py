@@ -140,15 +140,17 @@ def block_bytes_for(rows, channels):
 ], ids=["1", "2", "3", "8"])
 def test_scores_take_one_block_and_results_are_bitwise_unchanged(rng, monkeypatch,
                                                                  rows, blocks):
+    """The softmax sees each block twice, in order: in the forward pass, and
+    when the backward pass recomputes it."""
     head = AttentionHead(6, **SIZES, rng=rng)
     x, target = rng.normal(size=(5, 4, 6)), rng.normal(size=(5, 4, 6))
     shapes = softmax_shapes(monkeypatch)
     want = loss_and_gradients(head, x, target)
-    assert shapes == [(5, head.heads, 4, 4)]        # one block for the batch
+    assert shapes == [(5, head.heads, 4, 4)] * 2    # one block for the batch
     shapes.clear()
     monkeypatch.setattr(attention, "BLOCK_BYTES", block_bytes_for(rows, 4))
     got = loss_and_gradients(head, x, target)
-    assert shapes == blocks
+    assert shapes == blocks * 2
     assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
     for name in want[2]:
         assert np.array_equal(got[2][name], want[2][name]), name

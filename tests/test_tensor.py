@@ -1,4 +1,6 @@
+import contextlib
 import gc
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -70,11 +72,15 @@ class TestElementwise:
         assert out.data.sum(axis=-1) == approx(np.ones(4))
 
     def test_masked_mse_all_ones_equals_unmasked(self, rng):
-        p = Tensor(rng.normal(size=(3, 5)))
+        """Bitwise, loss and gradient: the unmasked branch only skips the
+        product with ones."""
+        p = Tensor(rng.normal(size=(3, 5)), requires_grad=True)
         t = Tensor(rng.normal(size=(3, 5)))
-        full = T.mse(p, t).item()
-        masked = T.mse(p, t, mask=Tensor(np.ones((3, 5)))).item()
-        assert masked == approx(full)
+        full = T.mse(p, t)
+        masked = T.mse(p, t, mask=Tensor(np.ones((3, 5))))
+        assert masked.item() == full.item()
+        g = np.array(0.7)
+        assert np.array_equal(masked._backward(g)[0], full._backward(g)[0])
 
     def test_masked_mse_empty_mask_rejected(self, rng):
         p = Tensor(rng.normal(size=(2, 4)))
@@ -536,6 +542,20 @@ class TestDenseKernelsMatchReference:
         _compare_with_reference(T.moving_average, _reference_moving_average,
                                 [rng.normal(size=shape)], rng, window)
 
+    @pytest.mark.parametrize("a_shape,b_shape", [
+        ((16, 7, 6), (6, 128)), ((16, 7, 128), (128, 128)), ((16, 7, 128), (128, 6)),
+        ((1, 7, 6), (6, 128)), ((64, 7, 128), (128, 128)), ((16, 321, 6), (6, 128)),
+        ((16, 321, 128), (128, 128)), ((32, 321, 128), (128, 6)), ((7, 96), (96, 96))])
+    def test_matmul_by_a_matrix_is_bitwise_the_batched_product(self, rng, a_shape,
+                                                               b_shape):
+        """A 2-D right operand takes one GEMM over every leading axis of the
+        left one; at the attention head's shapes it rounds as numpy's
+        per-index products do."""
+        a, b = rng.normal(size=a_shape), rng.normal(size=b_shape)
+        assert np.array_equal(T.matmul(Tensor(a), Tensor(b)).data, np.matmul(a, b))
+        view = np.swapaxes(a, -1, -2).copy().swapaxes(-1, -2)   # not C-contiguous
+        assert np.array_equal(T.matmul(Tensor(view), Tensor(b)).data, np.matmul(a, b))
+
     def test_moving_average_matrix_is_read_only(self):
         with pytest.raises(ValueError):
             T._moving_average_matrix(8, 3)[0, 0] = 1.0
@@ -653,6 +673,18 @@ class TestBands:
             T._band_index(8, 3)[0, 0] = 0
         with pytest.raises(ValueError):
             T._band_taps(8, 3)[0, 0] = 1.0
+
+    @pytest.mark.parametrize("shape,K", [((16, 7, 48), 7), ((1, 7, 6), 7),
+                                         ((2, 3, 5, 12), 4), ((7, 6), 2)])
+    def test_windows_are_the_sliding_window_view_read_only(self, rng, shape, K):
+        a = rng.normal(size=shape)
+        pl, pr = T._pads(K)
+        padded = np.pad(a.reshape((-1,) + shape[-2:]), ((0, 0), (0, 0), (pl, pr)))
+        win = T._windows(a, K, pl, pr)
+        assert np.array_equal(win, np.lib.stride_tricks.sliding_window_view(
+            padded, K, axis=-1))
+        with pytest.raises(ValueError):
+            win[0, 0, 0, 0] = 1.0
 
     @pytest.mark.parametrize("shape,banded", [((4, 7, 28), True), ((4, 7, 29), False),
                                               ((7, 6), True), ((7, 48), False)])
@@ -785,14 +817,16 @@ class TestAttention:
     ], ids=["1", "2", "4", "6"])
     def test_keeps_a_weights_block_only_while_recording(self, rng, monkeypatch,
                                                         rows, shapes):
-        """Each softmax output is a block of at most ``rows`` [C, C] weights;
-        the graph holds it, and under `no_grad` nothing does."""
+        """Each softmax output is a block of at most ``rows`` [C, C] weights
+        that lives only while the op computes with it: once the forward pass
+        returns nothing holds one, whether the op records or not, and the
+        backward pass recomputes the same blocks."""
         blocks = []
         softmax_op = T.softmax
 
         def softmax(a, axis=-1):
             out = softmax_op(a, axis=axis)
-            blocks.append(weakref.ref(out.data))
+            blocks.append((out.shape, weakref.ref(out.data)))
             return out
 
         monkeypatch.setattr(T, "softmax", softmax)
@@ -800,12 +834,64 @@ class TestAttention:
         with T.no_grad():
             got = T.attention(*inputs, rows)
         assert got._backward is None and got._parents == ()
-        assert len(blocks) == len(shapes)
-        assert all(ref() is None for ref in blocks)
-        blocks.clear()
         out = T.attention(*inputs, rows)
-        assert [ref().shape for ref in blocks] == shapes
+        assert out._backward is not None
+        assert [shape for shape, _ in blocks] == shapes * 2
+        assert all(ref() is None for _, ref in blocks)
         assert np.array_equal(out.data, got.data)
+        blocks.clear()
+        out._backward(np.ones(out.shape))
+        assert [shape for shape, _ in blocks] == shapes
+        assert all(ref() is None for _, ref in blocks)
+
+    @pytest.mark.parametrize("rows", [6, 50])
+    def test_backward_is_bitwise_the_composed_ops(self, rng, rows):
+        """With ``rows`` at least the matrix count, the op's own backward
+        returns the composed ops' gradients of q, k and v, bit for bit."""
+        q, k, v = (Tensor(rng.normal(size=s), requires_grad=True)
+                   for s in [(2, 3, 5, 4), (2, 3, 5, 4), (2, 3, 5, 2)])
+        g = rng.normal(size=(2, 3, 5, 2))
+        out = T.attention(q, k, v, rows)
+        want = composed_attention(q, k, v)
+        T.tsum(T.mul(want, Tensor(g))).backward()
+        assert np.array_equal(out.data, want.data)
+        for got, leaf in zip(out._backward(g), (q, k, v)):
+            assert np.array_equal(got, leaf.grad)
+
+    def test_backward_under_no_grad(self, rng):
+        """The recompute gets its softmax closure also when the backward
+        pass runs inside `no_grad`."""
+        weight = Tensor(rng.normal(size=(2, 3, 5, 2)))
+        grads = []
+        for mode in (contextlib.nullcontext, T.no_grad):
+            inputs = self.inputs(np.random.default_rng(0))
+            leaves = [t._parents[0] for t in inputs]
+            loss = T.tsum(T.mul(T.attention(*inputs, 2), weight))
+            with mode():
+                loss.backward()
+            grads.append([leaf.grad for leaf in leaves])
+        for a, b in zip(*grads):
+            assert np.array_equal(a, b)
+
+    def test_kept_bytes_grow_as_c_not_c_squared(self, rng):
+        """What the recording op keeps past its forward pass (its output and
+        closure) grows as C: doubling C from 64 to 128 doubles it, where
+        [C, C] weights would quadruple it."""
+        kept = []
+        for C in (64, 128):
+            q, k, v = (Tensor(rng.normal(size=(2, 2, C, 8)), requires_grad=True)
+                       for _ in range(3))
+            tracemalloc.start()
+            try:
+                start, _ = tracemalloc.get_traced_memory()
+                out = T.attention(q, k, v, 1)
+                kept.append(tracemalloc.get_traced_memory()[0] - start)
+            finally:
+                tracemalloc.stop()
+            assert out._backward is not None
+            del out
+        assert kept[1] < 2.5 * kept[0]
+        assert kept[1] < 4 * 8 * 128 * 8 * 1.5      # about the output's bytes
 
     @pytest.mark.parametrize("constant", [0, 1, 2])
     def test_an_input_that_requires_no_grad_gets_none(self, rng, constant):
