@@ -10,9 +10,9 @@ import functools
 import math
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
 
 NORM_EPS = 1e-8     # variance floor of layer_norm and of RevIN
+_FLOAT64 = np.dtype(np.float64)
 
 
 class TensorError(ValueError):
@@ -31,8 +31,15 @@ class Tape:
 
 
 class Tensor:
+    __slots__ = ("data", "requires_grad", "grad", "_parents", "_backward",
+                 "__weakref__")
+
     def __init__(self, data, requires_grad=False):
-        self.data = np.asarray(data, dtype=np.float64)
+        # np.asarray would return an exact float64 ndarray unchanged; every
+        # op's output is one, so it skips the call
+        if type(data) is not np.ndarray or data.dtype is not _FLOAT64:
+            data = np.asarray(data, dtype=np.float64)
+        self.data = data
         self.requires_grad = bool(requires_grad)
         self.grad = None
         self._parents = ()
@@ -137,10 +144,13 @@ def _make(data, parents, backward):
     """The op's output tensor. A backward closure returns one gradient per
     parent, or None for a parent that does not require one."""
     out = Tensor(data)
-    if _recording and any(p.requires_grad for p in parents):
-        out.requires_grad = True
-        out._parents = tuple(parents)
-        out._backward = backward
+    if _recording:
+        for p in parents:   # any() over a generator costs more than a small op
+            if p.requires_grad:
+                out.requires_grad = True
+                out._parents = tuple(parents)
+                out._backward = backward
+                break
     return out
 
 
@@ -208,8 +218,14 @@ def softmax(a, axis=-1):
 def mean(a):
     """Mean over the last axis, which is kept with length 1."""
     n = a.shape[-1]
-    return _make(a.data.mean(axis=-1, keepdims=True), (a,),
+    return _make(_mean_last(a.data), (a,),
                  lambda g: (np.broadcast_to(g, a.shape) / n,))
+
+
+def _mean_last(a):
+    """a.mean(axis=-1, keepdims=True), bit for bit, without ndarray.mean's
+    Python-level wrapper: the same sum, divided by the count."""
+    return a.sum(axis=-1, keepdims=True) / a.shape[-1]
 
 
 def tsum(a):
@@ -275,8 +291,8 @@ def reshape(a, shape):
 
 
 def transpose(a, axes):
-    inv = np.argsort(axes)
-    return _make(a.data.transpose(axes), (a,), lambda g: (g.transpose(inv),))
+    return _make(a.data.transpose(axes), (a,),
+                 lambda g: (g.transpose(np.argsort(axes)),))
 
 
 def _take_phase(a, phase):
@@ -372,7 +388,11 @@ def _windows(a, K, pl, pr):
     a = a.reshape((-1,) + a.shape[-2:])
     ap = np.zeros(a.shape[:-1] + (a.shape[-1] + pl + pr,))
     ap[..., pl:pl + a.shape[-1]] = a
-    return as_strided(ap, a.shape + (K,), ap.strides + ap.strides[-1:], writeable=False)
+    # the ndarray constructor over ap's buffer: the view `as_strided` makes,
+    # without its Python-level wrapper
+    win = np.ndarray(a.shape + (K,), np.float64, ap, 0, ap.strides + ap.strides[-1:])
+    win.flags.writeable = False
+    return win
 
 
 def _band_product(a, kernels, flip):
@@ -432,9 +452,10 @@ def _depthwise(x, kernels, bias, transpose, name):
     """x[..., C, L] times each channel's band (transpose: its transpose),
     plus bias. The bands run once the batch pays for building them, N*K >= L
     with N the product of the leading axes; a smaller batch runs the
-    sliding-window einsum; the rule was measured only for L <= 48. The
-    kernel gradient always runs as GEMMs: a backward pass runs in training,
-    whose batches are on the band side."""
+    sliding-window einsum. The rule was set from the C=321 crossover at
+    L <= 48: at N=1 the bands lose at C=321, L=6, and longer windows are
+    unmeasured. The kernel gradient always runs as GEMMs: a backward pass
+    runs in training, whose batches are on the band side."""
     C, K = kernels.shape
     if x.shape[-2] != C:
         raise TensorError(f"{name}: channels {x.shape[-2]} != {C}")
@@ -514,9 +535,9 @@ def grouped_linear_op(x, weights, biases, assignments):
     k, _, Lp = weights.shape
     if assignments.shape != (C,):
         raise TensorError("grouped_linear: one assignment per channel required")
-    if np.any((assignments < 0) | (assignments >= k)):
-        raise TensorError(f"grouped_linear: assignments must lie in [0, {k})")
     members = [np.flatnonzero(assignments == j) for j in range(k)]
+    if sum(ch.size for ch in members) != C:   # a channel is in no cluster
+        raise TensorError(f"grouped_linear: assignments must lie in [0, {k})")
     xf = x.data.reshape(-1, C, L)
     out = np.empty(xf.shape[:-1] + (Lp,))
     for j, ch in enumerate(members):
@@ -542,17 +563,16 @@ def grouped_linear_op(x, weights, biases, assignments):
 
 def layer_norm(x, scale, shift):
     """Normalize the last axis to zero mean / unit variance, then affine."""
-    mu = x.data.mean(axis=-1, keepdims=True)
+    mu = _mean_last(x.data)
     xc = x.data - mu
-    var = (xc * xc).mean(axis=-1, keepdims=True)
+    var = _mean_last(xc * xc)
     inv = 1.0 / np.sqrt(var + NORM_EPS)
     xn = xc * inv
     out = xn * scale.data + shift.data
 
     def backward(g):
         gxn = g * scale.data
-        gx = inv * (gxn - gxn.mean(axis=-1, keepdims=True)
-                    - xn * (gxn * xn).mean(axis=-1, keepdims=True))
+        gx = inv * (gxn - _mean_last(gxn) - xn * _mean_last(gxn * xn))
         gscale = _unbroadcast(g * xn, scale.shape)
         gshift = _unbroadcast(g, shift.shape)
         return (gx, gscale, gshift)

@@ -265,6 +265,14 @@ class TestGradChecks:
         check_grads(lambda *a: T.mse(T.grouped_linear_op(a[0], a[1], a[2], assign),
                                      Tensor(t)), [x, w, b])
 
+    @pytest.mark.parametrize("axes", [(2, 0, 1), (1, 2, 0, 3)])
+    def test_transpose(self, rng, axes):
+        """Permutations that are not their own inverse, over axes of
+        distinct lengths: a backward that applied ``axes`` itself fails."""
+        x = rng.normal(size=(2, 3, 4, 5)[:len(axes)])
+        t = rng.normal(size=x.transpose(axes).shape)
+        check_grads(lambda xt: T.mse(T.transpose(xt, axes), Tensor(t)), [x])
+
     def test_elementwise_suite(self, rng):
         x = rng.normal(size=(3, 4))
         y = rng.normal(size=(3, 4))
@@ -273,6 +281,82 @@ class TestGradChecks:
                     [x, y])
         check_grads(lambda a: T.mse(T.div(a, Tensor(np.full((3, 4), 2.0))), Tensor(t)),
                     [x])
+
+
+class TestTensorConstruction:
+    def test_keeps_a_float64_array_by_identity(self, rng):
+        a = rng.normal(size=(2, 3))
+        assert Tensor(a).data is a
+        view = a.T
+        assert Tensor(view).data is view
+
+    @pytest.mark.parametrize("value", [
+        [1, 2, 3], [[0.5], [1.5]], 3, 2.5, True,
+        np.array([1.5, -2.25], dtype=np.float32), np.array([True, False]),
+        np.array([1.0, 2.0], dtype=">f8"), np.arange(4).view(np.ndarray)],
+        ids=["int-list", "nested-list", "int", "float", "bool", "float32",
+             "bool-array", "big-endian", "int-array"])
+    def test_converts_other_inputs_to_float64(self, value):
+        t = Tensor(value)
+        want = np.asarray(value, dtype=np.float64)
+        assert type(t.data) is np.ndarray and t.data.dtype == np.float64
+        assert t.data.dtype.isnative
+        assert t.data.shape == want.shape and np.array_equal(t.data, want)
+
+    def test_subclass_becomes_a_plain_ndarray(self):
+        class Sub(np.ndarray):
+            pass
+
+        a = np.zeros(3).view(Sub)
+        assert type(Tensor(a).data) is np.ndarray
+
+    def test_weak_reference(self):
+        t = Tensor(np.zeros(2))
+        ref = weakref.ref(t)
+        assert ref() is t
+        del t
+        assert ref() is None
+
+    def test_undeclared_attribute_rejected(self):
+        with pytest.raises(AttributeError):
+            Tensor(1.0).name = "x"
+
+
+class TestTransposeRoundTrip:
+    @pytest.mark.parametrize("axes", [(2, 0, 1), (1, 2, 0, 3)])
+    def test_backward_undoes_the_forward_bitwise(self, rng, axes):
+        x = Tensor(rng.normal(size=(2, 3, 4, 5)[:len(axes)]), requires_grad=True)
+        y = T.transpose(x, axes)
+        assert np.array_equal(y.data, np.transpose(x.data, axes))
+        (back,) = y._backward(y.data)
+        assert back.shape == x.shape and np.array_equal(back, x.data)
+
+
+class TestLastAxisMeans:
+    """`mean` and `layer_norm` divide a last-axis sum by its length: bit for
+    bit the ``ndarray.mean`` formulas they replace."""
+
+    @pytest.mark.parametrize("lead", [(), (3,), (16, 7)])
+    @pytest.mark.parametrize("n", [1, 6, 95, 96])
+    def test_mean(self, rng, lead, n):
+        x = rng.normal(size=lead + (n,)) * 3.0 + 1.0
+        assert np.array_equal(T.mean(Tensor(x)).data, x.mean(axis=-1, keepdims=True))
+
+    @pytest.mark.parametrize("lead", [(), (3,), (16, 7)])
+    @pytest.mark.parametrize("n", [1, 6, 95, 96])
+    def test_layer_norm(self, rng, lead, n):
+        x = rng.normal(size=lead + (n,)) * 3.0 + 1.0
+        scale, shift, g = rng.normal(size=n), rng.normal(size=n), rng.normal(size=x.shape)
+        mu = x.mean(axis=-1, keepdims=True)
+        xc = x - mu
+        inv = 1.0 / np.sqrt((xc * xc).mean(axis=-1, keepdims=True) + T.NORM_EPS)
+        xn = xc * inv
+        out = T.layer_norm(Tensor(x, requires_grad=True), Tensor(scale), Tensor(shift))
+        assert np.array_equal(out.data, xn * scale + shift)
+        gxn = g * scale
+        want = inv * (gxn - gxn.mean(axis=-1, keepdims=True)
+                      - xn * (gxn * xn).mean(axis=-1, keepdims=True))
+        assert np.array_equal(out._backward(g)[0], want)
 
 
 class TestDeterminism:
@@ -581,6 +665,14 @@ class TestDenseKernelsMatchReference:
         b = Tensor(np.zeros((2, 4)))
         for assign in ([0, 2, 1], [0, -1, 1]):
             with pytest.raises(TensorError):
+                T.grouped_linear_op(x, w, b, np.array(assign))
+
+    def test_grouped_linear_rejects_an_assignment_in_no_cluster(self, rng):
+        x = Tensor(rng.normal(size=(2, 3, 4)))
+        w = Tensor(np.zeros((2, 4, 4)))
+        b = Tensor(np.zeros((2, 4)))
+        for assign in ([0, 0.5, 1], [0, np.nan, 1]):
+            with pytest.raises(TensorError, match="must lie in"):
                 T.grouped_linear_op(x, w, b, np.array(assign))
 
 
