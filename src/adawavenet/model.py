@@ -47,17 +47,15 @@ class RevIN:
 class AdaWaveNet:
     def __init__(self, config: ModelConfig, channels: int,
                  assignments: np.ndarray | None = None):
-        """assignments: each channel's trend cluster in [0, n_clusters),
-        required when n_clusters > 1."""
+        """assignments: an int array of each channel's trend cluster in
+        [0, n_clusters), length ``channels``; None puts every channel in
+        cluster 0 and is for n_clusters == 1. `train.build_model` fits them
+        when n_clusters > 1, and `restore_model` reads them."""
         self.config = config
         self.channels = channels
         rng = np.random.default_rng(config.seed)
         if assignments is None:
-            if config.n_clusters != 1:
-                raise ValueError("n_clusters > 1 requires fitted cluster assignments")
             assignments = np.zeros(channels, dtype=int)
-        if len(assignments) != channels:
-            raise ValueError("cluster assignments channel count mismatch")
         self.levels = [LiftingLevel(channels, config.kernel_size)
                        for _ in range(config.levels)]
         self.head = AttentionHead(config.final_len, d_model=config.d_model,

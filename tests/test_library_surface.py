@@ -14,7 +14,11 @@ passed, by keyword or by position, at some call in those files: a default
 that no program call overrides is a constant. Calls are matched by the
 called name, and ``__init__`` by its class's name.
 
-A third check requires every exception class the library defines to be one
+A third check requires every parameter of every library function, method
+and lambda to be read in its body, a method's ``self`` aside: a parameter
+that nothing reads is a knob that does nothing.
+
+A fourth check requires every exception class the library defines to be one
 that ``cli.main`` turns into an exit code.
 """
 import ast
@@ -156,6 +160,51 @@ def test_every_parameter_with_a_default_is_passed_by_the_program():
     """A default that no program call overrides is a constant: exactly the
     DEFAULT_ALLOWED parameters are never passed, so a stale entry fails too."""
     assert sorted(unpassed_defaults()) == sorted(DEFAULT_ALLOWED)
+
+
+# parameters that a signature requires although the body does not read them
+UNREAD_ALLOWED = {
+    "_spent.g",             # stands in for a backward closure, which takes g
+    "no_grad.__exit__.exc",  # the context-manager protocol passes the exception
+}
+
+
+def parameters_and_reads(tree):
+    """(qualified name, parameter names, names read in the body) of every
+    function, method and lambda; a lambda is named ``<lambda>`` after its
+    enclosing definition. A method's first parameter is left out."""
+    def walk(node, prefix):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, FUNCTIONS + (ast.Lambda,)):
+                name = child.name if isinstance(child, FUNCTIONS) else "<lambda>"
+                args = child.args
+                params = [a.arg for a in args.posonlyargs + args.args + args.kwonlyargs]
+                params += [a.arg for a in (args.vararg, args.kwarg) if a is not None]
+                if isinstance(node, ast.ClassDef):
+                    params = params[1:]
+                body = child.body if isinstance(child, FUNCTIONS) else [child.body]
+                reads = {n.id for stmt in body for n in ast.walk(stmt)
+                         if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+                yield prefix + name, params, reads
+                yield from walk(child, prefix + name + ".")
+            elif isinstance(child, ast.ClassDef):
+                yield from walk(child, prefix + child.name + ".")
+            else:
+                yield from walk(child, prefix)
+    yield from walk(tree, "")
+
+
+def unread_parameters():
+    return [f"{qualname}.{param}" for path in LIBRARY
+            for qualname, params, reads in parameters_and_reads(
+                ast.parse(path.read_text(encoding="utf-8"), str(path)))
+            for param in params if param not in reads]
+
+
+def test_every_parameter_is_read():
+    """Exactly the UNREAD_ALLOWED parameters go unread, so a stale entry
+    fails too."""
+    assert sorted(unread_parameters()) == sorted(UNREAD_ALLOWED)
 
 
 def exit_code_exceptions():

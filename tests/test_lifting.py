@@ -5,7 +5,7 @@ from pytest import approx
 import adawavenet.tensor as T
 from adawavenet.lifting import (LiftingLevel, analyze, final_length,
                                 lift_forward, lift_inverse, synthesize)
-from adawavenet.tensor import Tensor, TensorError
+from adawavenet.tensor import Tensor
 
 
 def randomize(level, rng, scale=0.5):
@@ -61,10 +61,6 @@ class TestSplit:
         x = rng.normal(size=(3, 10))
         e, o = split(Tensor(x))
         assert T.interleave(e, o).data == approx(x)
-
-    def test_odd_length_rejected(self):
-        with pytest.raises(TensorError):
-            split(Tensor(np.zeros((1, 5))))
 
 
 class TestLiftForward:

@@ -119,10 +119,6 @@ class TestForward:
         assert any("w_u_t" in n for n in learned_names)
         assert tied_names < learned_names
 
-    def test_clustered_model_requires_fitted_clustering(self):
-        with pytest.raises(ValueError):
-            AdaWaveNet(small_config(n_clusters=2), channels=3)
-
     @pytest.mark.parametrize("mode", ["learned", "tied"])
     def test_forward_writes_no_state(self, rng, mode):
         """A forward pass rebinds no attribute of the model or its modules
@@ -445,9 +441,8 @@ class TestCheckpoint:
         arrays = model_state(model, norm_mean=[0.0] * 3, norm_std=[1.0] * 3)
         x = Tensor(rng.normal(size=(2, 3, 32)))
         reference = restore_model(model.config, arrays).forward(x).data
-        # exempt: nothing reads norm.mean and norm.std, but the benchmark's
-        # workloads pass them to model_state, so they stay until the
-        # benchmark definition v2 (ROADMAP item 1)
+        # exempt: nothing reads norm.mean and norm.std yet; ROADMAP item 3
+        # puts the CLI's outputs on the data's scale with them
         checked = [name for name in arrays if not name.startswith("norm.")]
         for name in checked:
             perturbed = dict(arrays)
@@ -458,6 +453,19 @@ class TestCheckpoint:
             out = restore_model(model.config, perturbed).forward(x).data
             assert not np.array_equal(out, reference), name
         assert set(arrays) - set(checked) == {"norm.mean", "norm.std"}
+
+    @pytest.mark.parametrize("n_clusters", [1, 2])
+    @pytest.mark.parametrize("length", [2, 4])
+    def test_assignments_of_another_channel_count_rejected(self, n_clusters, length):
+        """The map's length sets the channel count of the rebuilt model, so
+        a map one channel short or long fails the parameters' shape check."""
+        model = AdaWaveNet(small_config(n_clusters=n_clusters), channels=3,
+                           assignments=np.array([0, n_clusters - 1, 0]))
+        arrays = state(model)
+        arrays["clustering.assignments"] = np.resize(arrays["clustering.assignments"],
+                                                     length)
+        with pytest.raises(DataError, match="shape mismatch for 'lifting.0.w_p'"):
+            restore_model(model.config, arrays)
 
     def test_clustered_round_trip(self, tmp_path, rng):
         model = AdaWaveNet(small_config(n_clusters=2), channels=3,
