@@ -63,6 +63,7 @@ class AttentionHead:
         q = T.matmul(h, T.mul(self.w_q, Tensor(1.0 / np.sqrt(dh))))
         k = T.matmul(h, self.w_k)
         v = T.matmul(h, self.w_v)
+        del h   # under no_grad each activation goes after its last reader
 
         def heads_view(t):   # [B, C, d] -> [B, H, C, dh]
             return T.transpose(T.reshape(t, (B, C, H, dh)), (0, 2, 1, 3))
@@ -70,6 +71,8 @@ class AttentionHead:
         rows = max(1, BLOCK_BYTES // (8 * C * C))
         mixed = T.attention(heads_view(q), heads_view(k), heads_view(v),
                             rows)                                # [B, H, C, dh]
+        del q, k, v
+        # the output has v's [B, C, H, dh] layout, so the heads merge by a view
         mixed = T.reshape(T.transpose(mixed, (0, 2, 1, 3)), (B, C, self.d_model))
         tokens = T.add(tokens, T.matmul(mixed, self.w_out))      # residual
         return T.add(T.matmul(tokens, self.w_target), self.b_target)

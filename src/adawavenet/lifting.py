@@ -11,7 +11,9 @@ With zero-initialized kernels and biases both nonlinear terms vanish, so a
 freshly constructed stack is a pure polyphase decimation and the inverse is
 an exact de-interleave; training then bends the wavelet away from that
 starting point. Odd-length inputs are right-padded by edge replication and
-the pad is cropped again on the way back.
+the pad is cropped again on the way back. Each filter tanh(W * x + b) is one
+graph node (`tensor.lifting_filter`), which keeps the tanh's output but not
+the convolution's: no backward reads it.
 
 One inverse step serves two reconstruction modes that differ only in the
 convolution and the kernels: "tied" reuses the forward kernels and is an
@@ -64,8 +66,8 @@ def lift_forward(x: Tensor, level: LiftingLevel):
     if padded:
         x = T.pad_edge_last(x, 1)
     even, odd = T.take_even(x), T.take_odd(x)
-    detail = T.sub(odd, T.tanh(T.depthwise_conv1d(even, level.w_p, level.b_p)))
-    approx = T.add(even, T.tanh(T.depthwise_conv1d(detail, level.w_u, level.b_u)))
+    detail = T.sub(odd, T.lifting_filter(even, level.w_p, level.b_p, False))
+    approx = T.add(even, T.lifting_filter(detail, level.w_u, level.b_u, False))
     return approx, detail, padded
 
 
@@ -77,14 +79,13 @@ def lift_inverse(approx: Tensor, detail: Tensor, level: LiftingLevel,
     the exact algebraic inverse of lift_forward; any other mode is "learned"
     and uses the trained ``*_t`` kernels with ``depthwise_conv_transpose1d``.
     """
-    if mode == "tied":
-        conv = T.depthwise_conv1d
-        w_u, b_u, w_p, b_p = level.w_u, level.b_u, level.w_p, level.b_p
-    else:
-        conv = T.depthwise_conv_transpose1d
+    learned = mode != "tied"
+    if learned:
         w_u, b_u, w_p, b_p = level.w_u_t, level.b_u_t, level.w_p_t, level.b_p_t
-    even = T.sub(approx, T.tanh(conv(detail, w_u, b_u)))
-    odd = T.add(detail, T.tanh(conv(even, w_p, b_p)))
+    else:
+        w_u, b_u, w_p, b_p = level.w_u, level.b_u, level.w_p, level.b_p
+    even = T.sub(approx, T.lifting_filter(detail, w_u, b_u, learned))
+    odd = T.add(detail, T.lifting_filter(even, w_p, b_p, learned))
     x = T.interleave(even, odd)
     if padded:
         x = T.crop_last(x, 1)

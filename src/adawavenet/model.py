@@ -85,10 +85,16 @@ class AdaWaveNet:
         if self.revin is not None:
             x, stats = self.revin.normalize(x)
         parts = decompose(x, cfg.ma_window)
-        approx, details, pad_flags = analyze(parts.seasonal, self.levels)
+        # the trend head runs first, so that under no_grad the normalized
+        # input and the trend are freed before the lifting cascade runs, and
+        # the seasonal part once the cascade has read it
+        trend_hat = self.trend_head.project_trend(parts.trend)
+        seasonal = parts.seasonal
+        del x, parts
+        approx, details, pad_flags = analyze(seasonal, self.levels)
+        del seasonal
         seasonal_hat = synthesize(self.head.project_approximation(approx), details,
                                   pad_flags, self.levels, cfg.inverse_mode)
-        trend_hat = self.trend_head.project_trend(parts.trend)
         out = T.add(seasonal_hat, trend_hat)
         if self.revin is not None:
             out = self.revin.denormalize(out, stats)

@@ -251,8 +251,8 @@ def mse(pred, target, mask=None):
         m, denom = 1.0, diff.size
     val = (diff * diff if mask is None else m * diff * diff).sum() / denom
 
-    def backward(g):
-        gp = g * 2.0 * m * diff / denom
+    def backward(g):   # recomputes the difference from the parents' data
+        gp = g * 2.0 * m * (pred.data - target.data) / denom
         return (gp if pred.requires_grad else None,
                 -gp if target.requires_grad else None)
 
@@ -477,6 +477,18 @@ def depthwise_conv_transpose1d(x, kernels, bias):
     return _depthwise(x, kernels, bias, True)
 
 
+def lifting_filter(x, kernels, bias, transpose):
+    """tanh(depthwise_conv1d(x, kernels, bias)) (transpose: of
+    depthwise_conv_transpose1d) as one node with parents (x, kernels, bias):
+    its backward runs the tanh's closure, then the convolution's, so the
+    graph keeps the tanh's output and not the convolution's."""
+    conv = depthwise_conv_transpose1d if transpose else depthwise_conv1d
+    pre = conv(x, kernels, bias)
+    act = tanh(pre)
+    inner, outer = pre._backward, act._backward
+    return _make(act.data, (x, kernels, bias), lambda g: inner(*outer(g)))
+
+
 @functools.lru_cache(maxsize=8)
 def _moving_average_matrix(L, window):
     """Read-only [L, L] banded A with (x @ A)[..., t] the edge-replicated
@@ -546,15 +558,17 @@ def grouped_linear_op(x, weights, biases, assignments):
 
 
 def layer_norm(x, scale, shift):
-    """Normalize the last axis to zero mean / unit variance, then affine."""
+    """Normalize the last axis to zero mean / unit variance, then affine.
+    The closure keeps only the [..., 1] mean and inverse deviation: the
+    backward recomputes the normalized input from x, bitwise the forward's."""
     mu = _mean_last(x.data)
     xc = x.data - mu
     var = _mean_last(xc * xc)
     inv = 1.0 / np.sqrt(var + NORM_EPS)
-    xn = xc * inv
-    out = xn * scale.data + shift.data
+    out = xc * inv * scale.data + shift.data
 
     def backward(g):
+        xn = (x.data - mu) * inv
         gxn = g * scale.data
         gx = inv * (gxn - _mean_last(gxn) - xn * _mean_last(gxn * xn))
         gscale = _unbroadcast(g * xn, scale.shape)
@@ -572,20 +586,25 @@ def attention(q, k, v, rows):
     ``rows`` of them, each a view of the inputs (`_boxes`). A block's scores
     go through `softmax` and are dropped: the graph keeps no [C, C] array,
     and the backward recomputes each block's weights, bitwise, by the same
-    GEMM. A block runs the GEMMs of ``softmax(q @ kᵀ) @ v`` in those ops'
-    operand order; with ``rows`` at least the matrix count it is those ops."""
+    GEMM, whose scores it drops once `softmax` returns. A block runs the
+    GEMMs of ``softmax(q @ kᵀ) @ v`` in those ops' operand order; with
+    ``rows`` at least the matrix count it is those ops. The output takes v's
+    memory layout: for v a [B, H, C, dh] view of a [B, C, d] array, the
+    heads merge back into [B, C, d] by a view."""
     lead = q.shape[:-2]
     boxes = _boxes(lead, rows)
-    out = np.empty(q.shape[:-1] + v.shape[-1:])
+    out = np.empty_like(v.data)
 
     def weights(at, record):   # the block's softmax(q kᵀ), with its closure if record
         global _recording   # the recompute records also in a backward under no_grad
         scores = q.data[at] @ np.swapaxes(k.data[at], -1, -2)
         saved, _recording = _recording, record
         try:
-            return softmax(Tensor(scores, record), axis=-1)
+            block = softmax(Tensor(scores, record), axis=-1)
         finally:
             _recording = saved
+        block._parents = ()   # its closure reads only the weights: drop the scores
+        return block
 
     for at in boxes:
         np.matmul(weights(at, False).data, v.data[at], out=out[at])

@@ -66,6 +66,12 @@ def _op_battery(rng):
         ("depthwise_conv_transpose1d",
          lambda x, w, b: T.tsum(T.tanh(T.depthwise_conv_transpose1d(x, w, b))),
          lambda: [n(2, 3, 8), n(3, 4), n(3)]),
+        ("lifting_filter",
+         lambda x, w, b: T.tsum(T.tanh(T.lifting_filter(x, w, b, False))),
+         lambda: [n(2, 3, 8), n(3, 4), n(3)]),
+        ("lifting_filter_transpose",
+         lambda x, w, b: T.tsum(T.tanh(T.lifting_filter(x, w, b, True))),
+         lambda: [n(2, 3, 8), n(3, 4), n(3)]),
         ("moving_average", lambda x: T.tsum(T.tanh(T.moving_average(x, 5))),
          lambda: [n(2, 2, 12)]),
         ("layer_norm", lambda x, s, h: T.tsum(T.tanh(T.layer_norm(x, s, h))),

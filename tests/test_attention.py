@@ -198,3 +198,35 @@ def test_blocked_gradients_match_finite_differences(rng, monkeypatch):
     check_grads(loss, [rng.normal(size=(3, 4, 6)), head.w_q.data.copy(),
                        head.w_k.data.copy(), head.w_v.data.copy()])
     assert set(shapes) == {(1, 4, 4)}
+
+
+@pytest.mark.parametrize("batch,channels,rows", [(16, 7, None), (2, 9, 1)])
+def test_heads_merge_as_a_view_of_the_attention_output(rng, monkeypatch, batch,
+                                                        channels, rows):
+    """The op's output has v's [B, C, H, dh] memory layout, so the merged
+    [B, C, d] heads that meet w_out share its memory, and the head's output
+    stays bitwise that of the composed ops."""
+    head = AttentionHead(12, **SIZES, rng=rng)
+    if rows is not None:
+        monkeypatch.setattr(attention, "BLOCK_BYTES", block_bytes_for(rows, channels))
+    x = rng.normal(size=(batch, channels, 12))
+    outputs, merged = [], []
+    attention_op, matmul_op = T.attention, T.matmul
+
+    def attention_spy(q, k, v, n):
+        outputs.append(attention_op(q, k, v, n))
+        return outputs[-1]
+
+    def matmul(a, b):
+        if b is head.w_out:
+            merged.append(a)
+        return matmul_op(a, b)
+
+    monkeypatch.setattr(T, "attention", attention_spy)
+    monkeypatch.setattr(T, "matmul", matmul)
+    got = head.project_approximation(Tensor(x)).data
+    assert merged[0].shape == (batch, channels, SIZES["d_model"])
+    assert np.shares_memory(merged[0].data, outputs[0].data)
+    monkeypatch.setattr(T, "attention",
+                        lambda q, k, v, n: composed_attention(q, k, v))
+    assert np.array_equal(got, head.project_approximation(Tensor(x)).data)

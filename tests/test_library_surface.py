@@ -7,7 +7,9 @@ files outside its own definition: as a name, an attribute, a string or an
 import. Tests do not count, so a helper that only tests call fails here.
 
 The check goes by name alone: a definition whose name is shared with a used
-definition (a second class's ``parameters`` method, say) is not caught.
+definition (a second class's ``parameters`` method, say) is not caught. An
+attribute of numpy (``np.tanh``, ``np.sqrt``) is not a use of the library's
+definition of the same name.
 
 A second check requires every library parameter that has a default to be
 passed, by keyword or by position, at some call in those files: a default
@@ -39,6 +41,7 @@ ALLOWED = {
 }
 
 FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
+NUMPY = {"np", "numpy"}   # names that numpy is imported as
 
 
 def definitions(tree):
@@ -62,7 +65,8 @@ def references(node, inside=()):
     if isinstance(node, ast.Name):
         yield node.id, inside
     elif isinstance(node, ast.Attribute):
-        yield node.attr, inside
+        if not (isinstance(node.value, ast.Name) and node.value.id in NUMPY):
+            yield node.attr, inside
     elif isinstance(node, ast.Constant) and isinstance(node.value, str):
         yield node.value, inside
     elif isinstance(node, ast.alias):

@@ -59,6 +59,72 @@ class TestDepthwiseConv:
             assert lhs == approx(rhs, abs=1e-10)
 
 
+class TestLiftingFilter:
+    """`lifting_filter` is tanh of a depthwise convolution as one node."""
+
+    @staticmethod
+    def composed(x, kernels, bias, transpose):
+        conv = T.depthwise_conv_transpose1d if transpose else T.depthwise_conv1d
+        return T.tanh(conv(x, kernels, bias))
+
+    @pytest.mark.parametrize("transpose", [False, True])
+    @pytest.mark.parametrize("shape", [(1, 3, 12), (16, 3, 12)])   # window, bands
+    def test_is_bitwise_the_composed_ops(self, rng, transpose, shape):
+        arrays = [rng.normal(size=shape), rng.normal(size=(3, 5)), rng.normal(size=3)]
+        weight = Tensor(rng.normal(size=shape))
+        results = []
+        for op in (T.lifting_filter, self.composed):
+            leaves = [Tensor(a.copy(), requires_grad=True) for a in arrays]
+            out = op(*leaves, transpose)
+            T.tsum(T.mul(out, weight)).backward()
+            results.append([out.data] + [leaf.grad for leaf in leaves])
+        for got, want in zip(*results):
+            assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("transpose", [False, True])
+    def test_one_node_keeps_not_the_convolution_output(self, rng, monkeypatch,
+                                                       transpose):
+        """The node's parents are the convolution's, and the convolution's
+        output is freed when the op returns."""
+        x, w, b = (Tensor(rng.normal(size=s), requires_grad=True)
+                   for s in [(2, 3, 12), (3, 5), (3,)])
+        kept = []
+        name = "depthwise_conv_transpose1d" if transpose else "depthwise_conv1d"
+        conv_op = getattr(T, name)
+
+        def conv(*args):
+            pre = conv_op(*args)
+            kept.append(weakref.ref(pre.data))
+            return pre
+
+        monkeypatch.setattr(T, name, conv)
+        out = T.lifting_filter(x, w, b, transpose)
+        assert out._parents == (x, w, b) and out._backward is not None
+        assert len(out.build_tape().nodes) == 4
+        assert len(kept) == 1 and kept[0]() is None
+
+    def test_records_nothing_under_no_grad_or_with_constant_inputs(self, rng):
+        arrays = [rng.normal(size=(2, 3, 12)), rng.normal(size=(3, 5)),
+                  rng.normal(size=3)]
+        want = T.lifting_filter(*(Tensor(a, requires_grad=True) for a in arrays), False)
+        with T.no_grad():
+            got = T.lifting_filter(*(Tensor(a, requires_grad=True) for a in arrays),
+                                   False)
+        constant = T.lifting_filter(*(Tensor(a) for a in arrays), False)
+        for out in (got, constant):
+            assert out._parents == () and out._backward is None
+            assert not out.requires_grad
+            assert np.array_equal(out.data, want.data)
+
+    @pytest.mark.parametrize("transpose", [False, True])
+    def test_gradients_match_finite_differences(self, rng, transpose):
+        target = rng.normal(size=(2, 3, 10))
+        check_grads(lambda x, w, b: T.mse(T.lifting_filter(x, w, b, transpose),
+                                          Tensor(target)),
+                    [rng.normal(size=(2, 3, 10)), rng.normal(size=(3, 4)),
+                     rng.normal(size=3)])
+
+
 class TestElementwise:
     def test_tanh_zero(self):
         assert T.tanh(Tensor(0.0)).item() == 0.0
@@ -98,6 +164,21 @@ class TestBackward:
         x = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
         T.tsum(x).backward()
         assert x.grad == approx(np.ones((3, 4)))
+
+    def test_mse_keeps_no_difference(self, rng):
+        """A recording mse keeps its scalar, not the [B, C, L] difference:
+        the backward recomputes it from the parents."""
+        pred = Tensor(rng.normal(size=(4, 8, 96)), requires_grad=True)
+        target = Tensor(rng.normal(size=(4, 8, 96)))
+        tracemalloc.start()
+        try:
+            start, _ = tracemalloc.get_traced_memory()
+            loss = T.mse(pred, target)
+            kept = tracemalloc.get_traced_memory()[0] - start
+        finally:
+            tracemalloc.stop()
+        assert loss._backward is not None
+        assert kept < 0.25 * pred.data.nbytes
 
     def test_mse_closed_form(self, rng):
         xv = rng.normal(size=(2, 3))
@@ -352,6 +433,22 @@ class TestLastAxisMeans:
         want = inv * (gxn - gxn.mean(axis=-1, keepdims=True)
                       - xn * (gxn * xn).mean(axis=-1, keepdims=True))
         assert np.array_equal(out._backward(g)[0], want)
+
+    def test_layer_norm_keeps_no_normalized_copy(self, rng):
+        """A recording call keeps its output and [..., 1] statistics, not a
+        second [..., d] array: the backward recomputes the normalized input
+        (bitwise the forward's, as the test above pins)."""
+        x = Tensor(rng.normal(size=(8, 64, 64)), requires_grad=True)
+        scale, shift = Tensor(rng.normal(size=64)), Tensor(rng.normal(size=64))
+        tracemalloc.start()
+        try:
+            start, _ = tracemalloc.get_traced_memory()
+            out = T.layer_norm(x, scale, shift)
+            kept = tracemalloc.get_traced_memory()[0] - start
+        finally:
+            tracemalloc.stop()
+        assert out._backward is not None
+        assert kept < out.data.nbytes + 0.25 * x.data.nbytes
 
 
 class TestDeterminism:
@@ -908,13 +1005,21 @@ class TestAttention:
         """Each softmax output is a block of at most ``rows`` [C, C] weights
         that lives only while the op computes with it: once the forward pass
         returns nothing holds one, whether the op records or not, and the
-        backward pass recomputes the same blocks."""
-        blocks = []
+        backward pass recomputes the same blocks, each of whose scores is
+        gone before the softmax adjoint runs."""
+        blocks, scores_alive = [], []
         softmax_op = T.softmax
 
         def softmax(a, axis=-1):
             out = softmax_op(a, axis=axis)
             blocks.append((out.shape, weakref.ref(out.data)))
+            scores, closure = weakref.ref(a.data), out._backward
+            if closure is not None:
+                def backward(g):   # the recompute has dropped its scores by now
+                    scores_alive.append(scores() is not None)
+                    return closure(g)
+
+                out._backward = backward
             return out
 
         monkeypatch.setattr(T, "softmax", softmax)
@@ -931,6 +1036,7 @@ class TestAttention:
         out._backward(np.ones(out.shape))
         assert [shape for shape, _ in blocks] == shapes
         assert all(ref() is None for _, ref in blocks)
+        assert scores_alive == [False] * len(shapes)
 
     @pytest.mark.parametrize("rows", [6, 50])
     def test_backward_is_bitwise_the_composed_ops(self, rng, rows):
