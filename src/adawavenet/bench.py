@@ -157,12 +157,12 @@ def run_cell(cell: dict, seed: int, verbose: bool = False) -> RunResult:
         setting = f"r={model_cfg.sr_ratio}"
     else:
         setting = f"Lp={model_cfg.pred_len}"
-    t0 = time.time()
+    t0 = time.perf_counter()
     model = build_model(dataset, model_cfg)
     train(model, dataset, train_cfg, mask_spec=mask_spec, verbose=verbose)
     mse, mae = evaluate(model, dataset, "test", mask_spec)
     return RunResult(task=task, dataset=name, setting=setting, mse=mse, mae=mae,
-                     runtime_s=time.time() - t0,
+                     runtime_s=time.perf_counter() - t0,
                      config_hash=config_hash(model_cfg, train_cfg), seed=seed)
 
 

@@ -236,19 +236,19 @@ def tsum(a):
     return _make(a.data.sum(), (a,), backward)
 
 
-def mse(pred, target, mask=None):
+def mse(pred, target, mask=None, count=None):
     """Mean squared error; with a mask Tensor of 0s and 1s the average runs
-    over the mask==1 positions only, and an empty mask is an error."""
+    over the mask==1 positions only, and an empty mask is an error. The sum
+    is divided by ``count``, by default the number of positions scored here
+    (the size, or the mask's sum): slices of a batch that each pass the
+    batch's count add up, loss and gradient, to the batch's mean."""
     if pred.shape != target.shape:
         raise TensorError(f"mse shape mismatch {pred.shape} vs {target.shape}")
     diff = pred.data - target.data
-    if mask is not None:
-        m = mask.data
-        denom = m.sum()
-        if denom == 0:
-            raise TensorError("mse mask is empty")
-    else:
-        m, denom = 1.0, diff.size
+    m = 1.0 if mask is None else mask.data
+    denom = count if count is not None else diff.size if mask is None else m.sum()
+    if denom == 0:
+        raise TensorError("mse mask is empty")
     val = (diff * diff if mask is None else m * diff * diff).sum() / denom
 
     def backward(g):   # recomputes the difference from the parents' data

@@ -16,7 +16,8 @@ from .model import AdaWaveNet, zoh_upsample
 from .tensor import NumericalError, Tensor
 
 MAX_FEATURE_WINDOWS = 512   # leading train windows whose mean feeds k-means
-EVAL_BATCH = 64             # windows per scoring forward
+EVAL_BATCH = 64             # most windows per scoring forward
+SLICE_BYTES = 1 << 20       # input bytes per forward slice of a batch
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 
 
@@ -74,6 +75,12 @@ def build_model(dataset: Dataset, config: ModelConfig) -> AdaWaveNet:
     return AdaWaveNet(config, channels=channels, assignments=assignments)
 
 
+def _slice_windows(window: np.ndarray) -> int:
+    """Windows per forward slice: as many inputs like ``window`` as fit in
+    SLICE_BYTES, and at least one."""
+    return max(1, SLICE_BYTES // window.nbytes)
+
+
 def _prepare_batch(task, xs, ys, idx, mask_spec, sr_ratio, mask_salt):
     """Assemble (input, target, loss_mask) numpy batches for one of config.TASKS."""
     x = xs[idx]
@@ -89,14 +96,16 @@ def _prepare_batch(task, xs, ys, idx, mask_spec, sr_ratio, mask_salt):
 def score_split(model: AdaWaveNet, dataset: Dataset, split: str, task: str,
                 mask_spec: MaskSpec | None = None, sr_ratio: int = 1):
     """(MSE, MAE) of the model's predictions over a split's windows, fed to
-    `metrics.score` one batch of EVAL_BATCH windows at a time; imputation
-    masks use salt 0, so every call scores the same masks."""
+    `metrics.score` one batch at a time: at most EVAL_BATCH windows and at
+    most a slice (`_slice_windows`); imputation masks use salt 0, so every
+    call scores the same masks."""
     cfg = model.config
     xs, ys = windows(dataset, split, cfg.input_len, cfg.pred_len, task)
+    n = min(EVAL_BATCH, _slice_windows(xs[0]))
 
     def batches():
-        for start in range(0, len(xs), EVAL_BATCH):
-            idx = np.arange(start, min(start + EVAL_BATCH, len(xs)))
+        for start in range(0, len(xs), n):
+            idx = np.arange(start, min(start + n, len(xs)))
             inp, tgt, lm = _prepare_batch(task, xs, ys, idx, mask_spec, sr_ratio,
                                           mask_salt=0)
             yield model.forward(Tensor(inp)).data, tgt, lm
@@ -133,7 +142,7 @@ def train(model: AdaWaveNet, dataset: Dataset, train_cfg: TrainConfig,
     history, best_val, bad_epochs = [], np.inf, 0
     best_state = {k: p.data.copy() for k, p in params.items()}
     for epoch in range(train_cfg.max_epochs):
-        t_start = time.time()
+        t_start = time.perf_counter()
         train_loss = _train_epoch(
             model, params, state, train_cfg, rng.permutation(len(xs)),
             lambda idx: _prepare_batch(cfg.task, xs, ys, idx, mask_spec,
@@ -143,7 +152,7 @@ def train(model: AdaWaveNet, dataset: Dataset, train_cfg: TrainConfig,
         except NumericalError:
             raise NumericalError(_nan_diagnostic(
                 params, "validation loss is non-finite")) from None
-        seconds = time.time() - t_start
+        seconds = time.perf_counter() - t_start
         history.append((epoch, train_loss, val_loss, train_cfg.learning_rate,
                         seconds))
         if verbose:
@@ -169,19 +178,30 @@ def train(model: AdaWaveNet, dataset: Dataset, train_cfg: TrainConfig,
 
 def _train_epoch(model, params, state: AdamState, train_cfg: TrainConfig,
                  order: np.ndarray, batch) -> float:
-    """One Adam step on the (masked) MSE of each batch_size slice of ``order``;
-    batch(idx) gives a slice's (input, target, loss_mask). Returns the mean loss."""
+    """One Adam step on the (masked) MSE of each batch_size run of ``order``;
+    batch(idx) gives its (input, target, loss_mask). A batch runs forward and
+    backward in slices of `_slice_windows` windows, each loss divided by the
+    whole batch's scored count, so the slices' gradients add up in ``.grad``
+    to the batch's; each slice's graph is freed before the next forward.
+    Clipping and Adam run once per batch. Returns the mean loss."""
     total, starts = 0.0, range(0, len(order), train_cfg.batch_size)
     for start in starts:
         inp, tgt, lm = batch(order[start:start + train_cfg.batch_size])
-        pred = model.forward(Tensor(inp))
-        loss = T.mse(pred, Tensor(tgt), mask=Tensor(lm) if lm is not None else None)
-        value = loss.item()
-        if not np.isfinite(value):
-            raise NumericalError(_nan_diagnostic(params, "loss is non-finite"))
+        count = tgt.size if lm is None else lm.sum()
+        n = _slice_windows(inp[0])
         for p in params.values():
             p.zero_grad()
-        loss.backward()
+        value = 0.0
+        for s in range(0, len(inp), n):
+            part = slice(s, s + n)
+            pred = model.forward(Tensor(inp[part]))
+            loss = T.mse(pred, Tensor(tgt[part]),
+                         None if lm is None else Tensor(lm[part]), count)
+            value += loss.item()
+            if not np.isfinite(value):
+                raise NumericalError(_nan_diagnostic(params, "loss is non-finite"))
+            loss.backward()
+            del pred, loss  # free this slice's graph before the next forward
         # a non-finite gradient gives a non-finite norm and stays so when clipped
         if not np.isfinite(clip_gradients(params, train_cfg.clip_norm)):
             bad = [k for k, p in params.items()
@@ -190,7 +210,6 @@ def _train_epoch(model, params, state: AdamState, train_cfg: TrainConfig,
                 raise NumericalError(_nan_diagnostic(params, f"non-finite grads in {bad}"))
         adam_step(params, state, train_cfg.learning_rate)
         total += value
-        del pred, loss  # free this step's graph before the next forward
     return total / len(starts)
 
 

@@ -265,6 +265,13 @@ class TestReportAndManifest:
         assert result.config_hash == config_hash(
             ModelConfig(task=task, seed=3, **sizes), TrainConfig(max_epochs=1, seed=3))
 
+    def test_runtime_ignores_a_stepped_wall_clock(self, monkeypatch):
+        wall = iter(range(10 ** 9, 0, -1000))
+        monkeypatch.setattr(B.time, "time", lambda: float(next(wall)))
+        result = run_cell({"dataset": "synth:simple", "max_epochs": 1, "levels": 2,
+                           "kernel_size": 3, "input_len": 48, "pred_len": 48}, seed=3)
+        assert 0 <= result.runtime_s < 100
+
     def test_string_mask_ratio_runs(self):
         result = run_cell({"dataset": "synth:simple", "task": "impute",
                            "mask_ratio": "0.25", "max_epochs": 1, "levels": 2,

@@ -7,6 +7,7 @@ import pytest
 from pytest import approx
 
 import adawavenet.tensor as T
+import adawavenet.train as TR
 from adawavenet.baselines import LinearBaseline
 from adawavenet.config import ModelConfig, TrainConfig
 from adawavenet.data import DataError, MaskSpec, build_dataset, windows
@@ -15,8 +16,9 @@ from adawavenet.grouped import kmeans
 from adawavenet.model import AdaWaveNet
 from adawavenet.tensor import Tensor
 from adawavenet.train import (MAX_FEATURE_WINDOWS, AdamState, NumericalError,
-                              adam_step, build_model, clip_gradients, evaluate,
-                              train)
+                              _prepare_batch, _train_epoch, adam_step,
+                              build_model, clip_gradients, evaluate,
+                              score_split, train)
 
 from conftest import passthrough_attention
 
@@ -154,6 +156,160 @@ class TestEvaluate:
         assert got == want
 
 
+def _reference_step(model, params, state, train_cfg, inp, tgt, lm):
+    """The training step before batches ran in slices, verbatim: the oracle
+    of TestSlicedStep. Returns the batch's loss."""
+    pred = model.forward(Tensor(inp))
+    loss = T.mse(pred, Tensor(tgt), mask=Tensor(lm) if lm is not None else None)
+    value = loss.item()
+    if not np.isfinite(value):
+        raise NumericalError("loss is non-finite")
+    for p in params.values():
+        p.zero_grad()
+    loss.backward()
+    if not np.isfinite(clip_gradients(params, train_cfg.clip_norm)):
+        bad = [k for k, p in params.items()
+               if p.grad is not None and not np.all(np.isfinite(p.grad))]
+        if bad:
+            raise NumericalError(f"non-finite grads in {bad}")
+    adam_step(params, state, train_cfg.learning_rate)
+    return value
+
+
+def _tap_output(model, seen):
+    """Make model.forward append (output, d loss/d output) of each backward
+    to seen."""
+    forward = model.forward
+
+    def tapped(x):
+        out = forward(x)
+        return T._make(out.data, (out,),
+                       lambda g: (seen.append((out.data, g.copy())) or g,))
+
+    model.forward = tapped
+
+
+def _slice_to(monkeypatch, window, n):
+    """Set train.SLICE_BYTES so that a batch of ``window``-sized inputs runs
+    in slices of n windows."""
+    monkeypatch.setattr(TR, "SLICE_BYTES", n * window.nbytes)
+
+
+class TestSlicedStep:
+    BATCH = 7
+
+    def _setup(self, rng, task):
+        ds = tiny_dataset(rng, channels=3)
+        model = build_model(ds, tiny_config(task=task))
+        for p in model.parameters().values():   # wake the zero-init kernels
+            p.data += rng.normal(0.0, 0.05, p.shape)
+        spec = MaskSpec("random", 0.25, seed=1) if task == "impute" else None
+        xs, ys = windows(ds, "train", 32, 32, task)
+        inp, tgt, lm = _prepare_batch(task, xs, ys, np.arange(self.BATCH), spec, 1,
+                                      mask_salt=1)
+        return ds, model, spec, (inp, tgt, lm)
+
+    @pytest.mark.parametrize("task", ["forecast", "impute"])
+    @pytest.mark.parametrize("n", [1, 3, BATCH])
+    def test_slices_add_up_to_the_unsliced_step(self, rng, monkeypatch, task, n):
+        """One slice is the unsliced step bit for bit, Adam update included.
+        With several slices each divides by the batch's count, so d loss/d
+        pred is bitwise the unsliced loss's at the same predictions; the
+        loss and gradients match the unsliced step to 1e-12 relative, as a
+        slice's forward may pick another kernel and the gradients add up in
+        another order."""
+        _, model, _, (inp, tgt, lm) = self._setup(rng, task)
+        start = {k: p.data.copy() for k, p in model.parameters().items()}
+        cfg = TrainConfig(batch_size=self.BATCH)
+
+        seen = []
+        _tap_output(model, seen)
+        params = model.parameters()
+        want = _reference_step(model, params, AdamState(params), cfg, inp, tgt, lm)
+        want_grad = {k: p.grad for k, p in params.items()}
+        want_data = {k: p.data.copy() for k, p in params.items()}
+
+        for k, p in params.items():
+            p.data[...] = start[k]
+        seen.clear()
+        _slice_to(monkeypatch, inp[0], n)
+        got = _train_epoch(model, params, AdamState(params), cfg,
+                           np.arange(self.BATCH), lambda idx: (inp, tgt, lm))
+
+        assert len(seen) == -(-self.BATCH // n)
+        pred = Tensor(np.concatenate([out for out, _ in seen]), requires_grad=True)
+        T.mse(pred, Tensor(tgt), None if lm is None else Tensor(lm)).backward()
+        assert np.array_equal(np.concatenate([g for _, g in seen]), pred.grad)
+        if n == self.BATCH:
+            assert got == want
+            for k, p in params.items():
+                assert np.array_equal(p.grad, want_grad[k]), k
+                assert np.array_equal(p.data, want_data[k]), k
+        else:
+            assert got == approx(want, rel=1e-12)
+            for k, p in params.items():
+                w = want_grad[k]
+                assert np.linalg.norm(p.grad - w) <= 1e-12 * np.linalg.norm(w), k
+
+    @pytest.mark.parametrize("task", ["forecast", "impute"])
+    def test_scores_do_not_depend_on_the_slice_size(self, rng, monkeypatch, task):
+        ds, model, spec, _ = self._setup(rng, task)
+        xs, _ = windows(ds, "val", 32, 32, task)
+        assert len(xs) > 3
+        want = score_split(model, ds, "val", task, mask_spec=spec)
+        for n in (1, 3, len(xs)):
+            _slice_to(monkeypatch, xs[0], n)
+            got = score_split(model, ds, "val", task, mask_spec=spec)
+            assert got == approx(want, rel=1e-12), n
+
+
+class TestSliceMemory:
+    """At C=64, L=96 a window is 48 KiB: with slices of 4 windows a step and
+    a scoring pass hold a quarter of the activations of one 16- or 64-window
+    forward."""
+
+    @pytest.fixture(scope="class")
+    def setup(self):
+        ds = tiny_dataset(np.random.default_rng(0), channels=64, total=1000,
+                          fractions=(0.4, 0.3, 0.3))
+        model = build_model(ds, ModelConfig())
+        xs, ys = windows(ds, "train", 96, 96, "forecast")
+        assert len(windows(ds, "val", 96, 96, "forecast")[0]) >= 64
+        return ds, model, xs, ys
+
+    @staticmethod
+    def _peak(fn):
+        fn()   # warm the caches both runs share
+        tracemalloc.start()
+        try:
+            fn()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_a_sliced_step_holds_one_slice(self, setup, monkeypatch):
+        _, model, xs, ys = setup
+        params = model.parameters()
+        state, cfg = AdamState(params), TrainConfig(batch_size=16)
+
+        def step():
+            _train_epoch(model, params, state, cfg, np.arange(16),
+                         lambda idx: _prepare_batch("forecast", xs, ys, idx,
+                                                    None, 1, mask_salt=1))
+
+        _slice_to(monkeypatch, xs[0], 16)
+        whole = self._peak(step)
+        _slice_to(monkeypatch, xs[0], 4)
+        assert self._peak(step) < 0.4 * whole
+
+    def test_a_sliced_evaluation_holds_one_slice(self, setup, monkeypatch):
+        ds, model, xs, _ = setup
+        _slice_to(monkeypatch, xs[0], 64)
+        whole = self._peak(lambda: evaluate(model, ds, "val", None))
+        _slice_to(monkeypatch, xs[0], 4)
+        assert self._peak(lambda: evaluate(model, ds, "val", None)) < 0.4 * whole
+
+
 class TestTrainLoop:
     def test_lr_zero_leaves_parameters_bitwise_unchanged(self, rng):
         ds = tiny_dataset(rng)
@@ -192,6 +348,15 @@ class TestTrainLoop:
         assert rows[0] == ["epoch", "train_loss", "val_loss", "lr", "seconds"]
         assert len(rows) - 1 == len(history)
         assert float(rows[1][1]) == approx(history[0][1])
+
+    def test_epoch_seconds_ignore_a_stepped_wall_clock(self, rng, monkeypatch):
+        """Durations come from a monotonic clock: a wall clock that steps
+        back 1000 s on every read leaves them small and non-negative."""
+        wall = iter(range(10 ** 9, 0, -1000))
+        monkeypatch.setattr(TR.time, "time", lambda: float(next(wall)))
+        ds = tiny_dataset(rng)
+        history, _ = train(build_model(ds, tiny_config()), ds, TrainConfig(max_epochs=2))
+        assert all(0 <= row[4] < 100 for row in history)
 
     def test_reproducible_to_bitwise(self, rng):
         ds = tiny_dataset(np.random.default_rng(5))
